@@ -1,47 +1,25 @@
 """Exact arithmetic over F_q[t] for Weil quadratics, quaternionic splitting,
-local-points checks, and Hasse-violation certificates."""
+local-points checks, and Hasse-violation certificates.
+
+The top level re-exports the entry points used by the examples; everything
+else lives in its submodule (`fpoly`, `weil`, `splitting`, `localpoints`,
+`certificate`, `search`).
+"""
 
 from .errors import FieldMismatch, InvalidInput, ModulusMismatch, ParseError
-from .ffield import (inv, is_square, least_nonsquare, normalize, scalar_arith,
-                     square_class_reps, validate_field_order)
-from .fpoly import (Factorization, Poly, enumerate_monic_irreducibles, factor,
-                    format_poly, is_irreducible, is_squarefree,
-                    monic_irreducibles, parse_poly, poly_arith, poly_gcd,
-                    polys_of_degree_at_most, powmod, residue_symbol,
-                    valuation)
-from .weil import (NormEntry, QuadExtElem, WeilPoly, dset, enumerate_weil,
-                   exponent_n, ext_mul, ext_pow, frobenius_test_element, lq,
-                   nonsquare_at_infinity, norm, p_excluded, pset)
-from .splitting import (CriterionReport, QuadraticField, QuaternionData,
-                        SplitType, field_splits_quaternion, infinity_behavior,
-                        mu_y_obstruction, nonexistence_criterion,
-                        place_behavior)
-from .localpoints import (LocalReport, LocalWitness, fast_m_bound,
-                          lambda_cutoff, lambda_set, local_all,
-                          local_infinity, local_ramified_prime, witness_ok,
-                          witness_search)
-from .certificate import (SCHEMA_VERSION, HasseCertificate, SchemaError,
-                          admissible_eps_set, canonical_json,
-                          hasse_certificate, verify_certificate)
+from .fpoly import format_poly, parse_poly
+from .weil import dset, enumerate_weil, exponent_n, norm, p_excluded, pset
+from .splitting import QuaternionData
+from .certificate import (SchemaError, admissible_eps_set, hasse_certificate,
+                          verify_certificate)
+from . import search
 
 __all__ = [
     "FieldMismatch", "InvalidInput", "ModulusMismatch", "ParseError",
-    "inv", "is_square", "least_nonsquare", "normalize", "scalar_arith",
-    "square_class_reps", "validate_field_order",
-    "Factorization", "Poly", "enumerate_monic_irreducibles", "factor",
-    "format_poly", "is_irreducible", "is_squarefree", "monic_irreducibles",
-    "parse_poly", "poly_arith", "poly_gcd", "polys_of_degree_at_most",
-    "powmod", "residue_symbol", "valuation",
-    "NormEntry", "QuadExtElem", "WeilPoly", "dset", "enumerate_weil",
-    "exponent_n", "ext_mul", "ext_pow", "frobenius_test_element", "lq",
-    "nonsquare_at_infinity", "norm", "p_excluded", "pset",
-    "CriterionReport", "QuadraticField", "QuaternionData", "SplitType",
-    "field_splits_quaternion", "infinity_behavior", "mu_y_obstruction",
-    "nonexistence_criterion", "place_behavior",
-    "LocalReport", "LocalWitness", "fast_m_bound", "lambda_cutoff",
-    "lambda_set", "local_all", "local_infinity", "local_ramified_prime",
-    "witness_ok", "witness_search",
-    "SCHEMA_VERSION", "HasseCertificate", "SchemaError",
-    "admissible_eps_set", "canonical_json", "hasse_certificate",
-    "verify_certificate",
+    "SchemaError",
+    "format_poly", "parse_poly",
+    "dset", "enumerate_weil", "exponent_n", "norm", "p_excluded", "pset",
+    "QuaternionData",
+    "admissible_eps_set", "hasse_certificate", "verify_certificate",
+    "search",
 ]

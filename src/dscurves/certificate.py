@@ -18,10 +18,10 @@ from .errors import InvalidInput, ParseError
 from .fpoly import (Poly, format_poly, is_irreducible, is_squarefree,
                     parse_poly, poly_gcd)
 from .localpoints import (LocalWitness, fast_m_bound, lambda_cutoff,
-                          lambda_set, local_all, witness_ok)
+                          lambda_set, local_all, local_ramified_prime,
+                          mu_witness_ok, witness_cutoff, witness_ok)
 from .splitting import (QuadraticField, QuaternionData, SplitType,
-                        infinity_behavior, nonexistence_criterion,
-                        place_behavior)
+                        infinity_behavior, nonexistence_criterion)
 from .weil import exponent_n
 
 SCHEMA_VERSION = 1
@@ -96,22 +96,7 @@ def hasse_certificate(D, y, n_poly, eps, seed=0):
     local_section = None
     if crit.field_splits:
         report = local_all(D, K)
-        local_section = {
-            "infinity_ok": report.infinity_ok,
-            "ram1_ok": report.ram1_ok,
-            "ram1_mu": report.ram1_mu,
-            "ram2_ok": report.ram2_ok,
-            "ram2_mu": report.ram2_mu,
-            "lambda_cutoff": report.lambda_cutoff,
-            "witness_cutoff": report.witness_cutoff,
-            "fast_m": report.fast_m,
-            "witnesses": [
-                {"l": format_poly(w.l), "a": format_poly(w.a), "c": w.c}
-                for w in report.witnesses
-            ],
-            "unwitnessed": [format_poly(l) for l in report.unwitnessed],
-            "ok": report.ok,
-        }
+        local_section = report.to_dict()
         if not report.infinity_ok:
             reasons.append("infinity splits in K")
         for name, ok in (("ram1", report.ram1_ok), ("ram2", report.ram2_ok)):
@@ -183,6 +168,14 @@ def _schema_check(data):
         raise SchemaError("malformed local section")
 
 
+def _json_int(value, label):
+    """value itself when it is a JSON integer (bools excluded); otherwise
+    a SchemaError, since int() would silently truncate or coerce."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError("%s must be an integer, got %r" % (label, value))
+    return value
+
+
 def verify_certificate(data):
     """Re-evaluate every recorded predicate; returns (exit_code, messages).
 
@@ -198,7 +191,7 @@ def verify_certificate(data):
         ram1 = parse_poly(data["ram1"], q)
         ram2 = parse_poly(data["ram2"], q)
         n_poly = parse_poly(data["n_poly"], q)
-        eps = int(data["eps"])
+        eps = _json_int(data["eps"], "eps")
         D = QuaternionData(ram1=ram1, ram2=ram2)
         _check_preconditions(D, y, n_poly, eps)
         radical = y * ram1 * ram2 * n_poly
@@ -213,6 +206,7 @@ def verify_certificate(data):
             failures.append("%s: recorded %r, recomputed %r"
                             % (label, recorded, recomputed))
 
+    check("eps", eps, K.eps)
     check("radicand", data["radicand"], format_poly(radical))
     check("exponent_n", data["exponent_n"], exponent_n(q, 2))
 
@@ -232,40 +226,39 @@ def verify_certificate(data):
     else:
         check("local.infinity_ok", local["infinity_ok"],
               infinity_behavior(K) != SplitType.SPLIT)
-        for name, prime in (("ram1", ram1), ("ram2", ram2)):
+        for name in ("ram1", "ram2"):
             ok_rec = local["%s_ok" % name]
             mu_rec = local["%s_mu" % name]
-            other = ram2 if name == "ram1" else ram1
-            behavior = place_behavior(prime, K)
-            if behavior == SplitType.INERT:
-                check("local.%s" % name, (ok_rec, mu_rec), (True, None))
-            elif behavior == SplitType.SPLIT:
-                check("local.%s" % name, (ok_rec, mu_rec), (False, None))
-            elif ok_rec:
+            if mu_rec is not None:
+                _json_int(mu_rec, "local.%s_mu" % name)
+            fresh_ok, fresh_mu = local_ramified_prime(D, K, name)
+            if ok_rec and fresh_mu is not None:
+                # ramified prime: any mu passing the rule is a valid witness
                 if mu_rec is None:
                     failures.append("local.%s: ramified prime needs a mu witness" % name)
-                else:
-                    aux = QuadraticField(eps=mu_rec, radical=prime)
-                    if (place_behavior(other, aux) == SplitType.SPLIT
-                            or infinity_behavior(aux) == SplitType.SPLIT):
-                        failures.append("local.%s: mu witness %d fails" % (name, mu_rec))
+                elif not mu_witness_ok(D, name, mu_rec):
+                    failures.append("local.%s: mu witness %d fails" % (name, mu_rec))
+            else:
+                check("local.%s" % name, (ok_rec, mu_rec), (fresh_ok, fresh_mu))
         check("local.lambda_cutoff", local["lambda_cutoff"], lambda_cutoff(D))
-        check("local.fast_m", local["fast_m"], fast_m_bound(D))
-        m = local["fast_m"]
-        expected_cutoff = (lambda_cutoff(D) if m is None
-                           else min(2 * m, lambda_cutoff(D)))
-        check("local.witness_cutoff", local["witness_cutoff"], expected_cutoff)
-        seen = {}
+        m = fast_m_bound(D)
+        check("local.fast_m", local["fast_m"], m)
+        cutoff = witness_cutoff(D, m)
+        check("local.witness_cutoff", local["witness_cutoff"], cutoff)
+        seen = set()
         for item in local["witnesses"]:
             try:
                 w = LocalWitness(l=parse_poly(item["l"], q),
-                                 a=parse_poly(item["a"], q), c=int(item["c"]))
+                                 a=parse_poly(item["a"], q),
+                                 c=_json_int(item["c"], "witness c"))
             except (ParseError, KeyError, TypeError) as exc:
                 raise SchemaError("malformed witness entry: %s" % exc) from exc
-            if not witness_ok(D, w):
+            if w.l in seen:
+                failures.append("duplicate witness for l=%s" % item["l"])
+            elif not witness_ok(D, w):
                 failures.append("witness for l=%s fails re-checking" % item["l"])
-            seen[w.l] = w
-        required = lambda_set(D, max_degree=local["witness_cutoff"])
+            seen.add(w.l)
+        required = lambda_set(D, max_degree=cutoff)
         unwit = {u for u in local["unwitnessed"]}
         for l in required:
             text = format_poly(l)

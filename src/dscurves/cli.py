@@ -1,7 +1,8 @@
-"""Command-line driver.
+"""Command-line driver: parses arguments, calls the library, prints.
 
 Subcommands mirror the pipeline stages: `wset`, `pcheck`, `pset`,
-`criterion`, `local`, `certify`, `verify`, `search`.
+`criterion`, `local`, `certify`, `verify`, `search`.  No mathematics lives
+here; the search pipeline is `dscurves.search.search`.
 
 Exit codes: 0 verified/valid, 1 checked-and-false, 2 invalid input,
 3 format/schema error.
@@ -10,22 +11,16 @@ Exit codes: 0 verified/valid, 1 checked-and-false, 2 invalid input,
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
-from . import certificate as cert_mod
 from . import ffield
-from .certificate import (SchemaError, canonical_json, hasse_certificate,
-                          verify_certificate)
+from .certificate import (VALID, SchemaError, canonical_json,
+                          hasse_certificate, verify_certificate)
 from .errors import InvalidInput, ParseError
-from .fpoly import (factor, format_poly, is_irreducible, monic_irreducibles,
-                    parse_poly)
+from .fpoly import format_poly, is_irreducible, parse_poly
 from .localpoints import local_all
-from .splitting import (QuadraticField, QuaternionData, SplitType,
-                        field_splits_quaternion, infinity_behavior,
-                        mu_y_obstruction, nonexistence_criterion,
-                        place_behavior)
-from .localpoints import local_ramified_prime
-from .weil import dset, enumerate_weil, nonsquare_at_infinity, pset
+from .search import search
+from .splitting import QuadraticField, QuaternionData, nonexistence_criterion
+from .weil import dset, enumerate_weil, pset
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -33,16 +28,13 @@ EXIT_INVALID = 2
 EXIT_SCHEMA = 3
 
 
-def _add_common(sub, *, seed=False, json_flag=True):
+def _add_common(sub, *, seed=False):
     sub.add_argument("--field-order", type=int, required=True, metavar="Q",
                      help="the odd prime q")
-    if json_flag:
-        sub.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+    sub.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     if seed:
         sub.add_argument("--seed", type=int, default=0,
                          help="seed for the factorization randomness")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker processes (search only)")
 
 
 def build_parser():
@@ -97,6 +89,8 @@ def build_parser():
     p.add_argument("--max-deg1", type=int, required=True)
     p.add_argument("--max-deg2", type=int, required=True)
     p.add_argument("--y", default="t")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes for certification")
     return parser
 
 
@@ -224,23 +218,9 @@ def cmd_local(args):
     q = args.field_order
     D = _quaternion_args(args, q)
     K = _field_args(args, q)
-    if not field_splits_quaternion(K, D):
-        raise InvalidInput("K does not split the quaternion algebra (hypothesis 1)")
     report = local_all(D, K)
     if args.json:
-        payload = {
-            "infinity_ok": report.infinity_ok,
-            "ram1_ok": report.ram1_ok, "ram1_mu": report.ram1_mu,
-            "ram2_ok": report.ram2_ok, "ram2_mu": report.ram2_mu,
-            "lambda_cutoff": report.lambda_cutoff,
-            "witness_cutoff": report.witness_cutoff,
-            "fast_m": report.fast_m,
-            "witnesses": [{"l": format_poly(w.l), "a": format_poly(w.a), "c": w.c}
-                          for w in report.witnesses],
-            "unwitnessed": [format_poly(l) for l in report.unwitnessed],
-            "ok": report.ok,
-        }
-        print(canonical_json(payload), end="")
+        print(canonical_json(report.to_dict()), end="")
     else:
         print("infinity        %s" % ("ok" if report.infinity_ok else "FAIL"))
         for name, ok, mu in (("ram1", report.ram1_ok, report.ram1_mu),
@@ -295,84 +275,12 @@ def cmd_verify(args):
     return code
 
 
-# ---------------------------------------------------------------------------
-# search
-
-def _first_admissible_eps(n_poly):
-    return cert_mod.admissible_eps_set(n_poly)[0]
-
-
-def _pair_passes_cheap_filters(D, y):
-    """n-independent hypotheses that are cheap to evaluate; symbols first."""
-    if not mu_y_obstruction(D, y):
-        return False
-    for which in ("ram1", "ram2"):
-        r = D.ram1 if which == "ram1" else D.ram2
-        s = D.ram2 if which == "ram1" else D.ram1
-        ok = False
-        for mu in ffield.square_class_reps(D.q):
-            aux = QuadraticField(eps=mu, radical=r)
-            if (place_behavior(s, aux) != SplitType.SPLIT
-                    and infinity_behavior(aux) != SplitType.SPLIT):
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
-
-
-def _certify_pair(q, p_text, s_text, y_text, seed):
-    """Worker: build the n=1 certificate for one candidate pair."""
-    ram1 = parse_poly(p_text, q)
-    ram2 = parse_poly(s_text, q)
-    y = parse_poly(y_text, q)
-    D = QuaternionData(ram1=ram1, ram2=ram2)
-    one = parse_poly("1", q)
-    cert = hasse_certificate(D, y, one, _first_admissible_eps(one), seed=seed)
-    return p_text, s_text, cert.data
-
-
 def cmd_search(args):
     q = args.field_order
-    ffield.validate_field_order(q)
     y = _irreducible_arg(args.y, q, "y")
-    from .weil import p_excluded
-
-    candidates = []
-    for d1 in range(1, args.max_deg1 + 1):
-        for p in monic_irreducibles(q, d1):
-            if p == y:
-                continue
-            for d2 in range(1, args.max_deg2 + 1):
-                for s in monic_irreducibles(q, d2):
-                    if s == p or s == y:
-                        continue
-                    if (y.degree + p.degree + s.degree) % 2 == 0:
-                        continue  # the eps table needs odd total degree
-                    candidates.append((p, s))
-
-    survivors = []
-    for p, s in candidates:
-        D = QuaternionData(ram1=p, ram2=s)
-        if not _pair_passes_cheap_filters(D, y):
-            continue
-        if not (p_excluded(p, y) or p_excluded(s, y)):
-            continue
-        survivors.append((p, s))
-
-    jobs = [(q, format_poly(p), format_poly(s), format_poly(y), args.seed)
-            for p, s in survivors]
-    results = []
-    if args.threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(_certify_pair_star, jobs))
-    else:
-        results = [_certify_pair(*job) for job in jobs]
-
-    triples = [(p_text, s_text, data) for p_text, s_text, data in results
-               if data["verdict"] == cert_mod.VALID]
-    rejected = [(p_text, s_text) for p_text, s_text, data in results
-                if data["verdict"] != cert_mod.VALID]
+    n_candidates, results = search(y, args.max_deg1, args.max_deg2,
+                                   seed=args.seed, workers=args.threads)
+    triples = [(a, b, d) for a, b, d in results if d["verdict"] == VALID]
     if args.json:
         print(canonical_json({
             "field_order": q, "y": format_poly(y),
@@ -383,15 +291,12 @@ def cmd_search(args):
     else:
         for a, b, _ in triples:
             print("(%d, %s, %s)  VALID" % (q, a, b))
-        for a, b in rejected:
-            print("(%d, %s, %s)  rejected at certification" % (q, a, b))
+        for a, b, d in results:
+            if d["verdict"] != VALID:
+                print("(%d, %s, %s)  rejected at certification" % (q, a, b))
         print("found %d violating pair(s) out of %d candidate(s)"
-              % (len(triples), len(candidates)))
+              % (len(triples), n_candidates))
     return EXIT_OK
-
-
-def _certify_pair_star(job):
-    return _certify_pair(*job)
 
 
 _HANDLERS = {

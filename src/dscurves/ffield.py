@@ -32,30 +32,10 @@ def validate_field_order(q):
     _VALIDATED.add(q)
 
 
-def normalize(a, q):
-    """Canonical residue of a in [0, q)."""
-    return a % q
-
-
 def inv(a, q):
     if a % q == 0:
         raise InvalidInput("inverse of 0 in F_%d" % q)
     return pow(a, q - 2, q)
-
-
-def scalar_arith(a, b, op, q):
-    """Field operation on canonical residues; op in {add, sub, mul, div}."""
-    validate_field_order(q)
-    a, b = a % q, b % q
-    if op == "add":
-        return (a + b) % q
-    if op == "sub":
-        return (a - b) % q
-    if op == "mul":
-        return (a * b) % q
-    if op == "div":
-        return (a * inv(b, q)) % q
-    raise InvalidInput("unknown scalar op %r" % (op,))
 
 
 def is_square(a, q):

@@ -220,21 +220,6 @@ def _mul_coeffs(a, b, q):
     return tuple(int(c) for c in conv)
 
 
-def poly_arith(f, g, op):
-    """Dispatch form of the ring operations; op in {add, sub, mul, divrem, gcd}."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    if op == "divrem":
-        return divmod(f, g)
-    if op == "gcd":
-        return poly_gcd(f, g)
-    raise InvalidInput("unknown poly op %r" % (op,))
-
-
 def poly_gcd(f, g):
     """Monic greatest common divisor."""
     while not g.is_zero:
@@ -305,11 +290,6 @@ def monic_irreducibles(q, degree):
         if is_irreducible(f):
             out.append(f)
     return tuple(out)
-
-
-def enumerate_monic_irreducibles(q, degree):
-    """Ordered stream of monic irreducibles of exactly the given degree."""
-    yield from monic_irreducibles(q, degree)
 
 
 def polys_of_degree_at_most(q, maxdeg, monic=False):

@@ -54,33 +54,58 @@ def local_infinity(D, K):
     return D.ram1.degree % 2 == 1 and D.ram2.degree % 2 == 1
 
 
+def _ramified_pair(D, which):
+    if which == "ram1":
+        return D.ram1, D.ram2
+    if which == "ram2":
+        return D.ram2, D.ram1
+    raise InvalidInput("which must be 'ram1' or 'ram2'")
+
+
+def mu_witness_ok(D, which, mu):
+    """True iff mu is a unit with neither the other ramified prime nor
+    infinity split in F(sqrt(mu*r)), r the prime named by `which`."""
+    r, s = _ramified_pair(D, which)
+    if mu % D.q == 0:
+        return False
+    aux = QuadraticField(eps=mu, radical=r)
+    return (place_behavior(s, aux) != SplitType.SPLIT
+            and infinity_behavior(aux) != SplitType.SPLIT)
+
+
+def ramified_mu(D, which):
+    """First square class mu passing `mu_witness_ok`, or None."""
+    for mu in ffield.square_class_reps(D.q):
+        if mu_witness_ok(D, which, mu):
+            return mu
+    return None
+
+
 def local_ramified_prime(D, K, which):
     """Points above the chosen ramified prime r.
 
-    Inert r needs nothing; ramified r needs a square class mu with neither
-    the other prime nor infinity split in F(sqrt(mu*r)); split r fails.
-    Returns (ok, mu-witness or None).
+    Inert r needs nothing; ramified r needs a mu-witness (`ramified_mu`);
+    split r fails.  Returns (ok, mu-witness or None).
     """
-    if which not in ("ram1", "ram2"):
-        raise InvalidInput("which must be 'ram1' or 'ram2'")
-    r = D.ram1 if which == "ram1" else D.ram2
-    s = D.ram2 if which == "ram1" else D.ram1
-    behavior = place_behavior(r, K)
+    behavior = place_behavior(_ramified_pair(D, which)[0], K)
     if behavior == SplitType.INERT:
         return True, None
     if behavior == SplitType.SPLIT:
         return False, None
-    for mu in ffield.square_class_reps(D.q):
-        aux = QuadraticField(eps=mu, radical=r)
-        if (place_behavior(s, aux) != SplitType.SPLIT
-                and infinity_behavior(aux) != SplitType.SPLIT):
-            return True, mu
-    return False, None
+    mu = ramified_mu(D, which)
+    return mu is not None, mu
 
 
 def lambda_cutoff(D):
     """Largest degree at which a place can still need an explicit witness."""
     return 2 * (D.ram1.degree + D.ram2.degree) - 2
+
+
+def witness_cutoff(D, m):
+    """Largest degree needing an explicit witness when the uniform bound is
+    m (None when no bound exists)."""
+    cutoff = lambda_cutoff(D)
+    return cutoff if m is None else min(2 * m, cutoff)
 
 
 def lambda_set(D, max_degree=None):
@@ -198,6 +223,22 @@ class LocalReport:
         return (self.infinity_ok and self.ram1_ok and self.ram2_ok
                 and not self.unwitnessed)
 
+    def to_dict(self):
+        """The JSON-ready `local` section shared by certificates and
+        `dscurves local --json`."""
+        return {
+            "infinity_ok": self.infinity_ok,
+            "ram1_ok": self.ram1_ok, "ram1_mu": self.ram1_mu,
+            "ram2_ok": self.ram2_ok, "ram2_mu": self.ram2_mu,
+            "lambda_cutoff": self.lambda_cutoff,
+            "witness_cutoff": self.witness_cutoff,
+            "fast_m": self.fast_m,
+            "witnesses": [{"l": format_poly(w.l), "a": format_poly(w.a), "c": w.c}
+                          for w in self.witnesses],
+            "unwitnessed": [format_poly(l) for l in self.unwitnessed],
+            "ok": self.ok,
+        }
+
 
 def local_all(D, K):
     """Run the whole battery for a K that splits D.
@@ -212,9 +253,8 @@ def local_all(D, K):
     infinity_ok = infinity_behavior(K) != SplitType.SPLIT
     ram1_ok, ram1_mu = local_ramified_prime(D, K, "ram1")
     ram2_ok, ram2_mu = local_ramified_prime(D, K, "ram2")
-    cutoff = lambda_cutoff(D)
     m = fast_m_bound(D)
-    wit_cutoff = cutoff if m is None else min(2 * m, cutoff)
+    wit_cutoff = witness_cutoff(D, m)
     witnesses, unwitnessed = [], []
     for l in lambda_set(D, max_degree=wit_cutoff):
         w = witness_search(D, l)
@@ -225,6 +265,6 @@ def local_all(D, K):
     return LocalReport(infinity_ok=infinity_ok,
                        ram1_ok=ram1_ok, ram1_mu=ram1_mu,
                        ram2_ok=ram2_ok, ram2_mu=ram2_mu,
-                       lambda_cutoff=cutoff, witness_cutoff=wit_cutoff,
+                       lambda_cutoff=lambda_cutoff(D), witness_cutoff=wit_cutoff,
                        fast_m=m, witnesses=tuple(witnesses),
                        unwitnessed=tuple(unwitnessed))

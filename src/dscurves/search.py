@@ -1,0 +1,73 @@
+"""Search degree windows for (ram1, ram2) pairs violating the Hasse principle.
+
+Candidates are enumerated in a fixed order (degree, then lexicographic),
+pre-filtered by the n-independent hypotheses that are cheap to evaluate,
+and each survivor is certified with n = 1 and the first admissible eps.
+"""
+
+from .certificate import admissible_eps_set, hasse_certificate
+from .fpoly import Poly, format_poly, monic_irreducibles, parse_poly
+from .localpoints import ramified_mu
+from .splitting import QuaternionData, mu_y_obstruction
+from .weil import p_excluded
+
+
+def candidates(y, max_deg1, max_deg2):
+    """Pairs (p, s) of monic irreducibles with deg p <= max_deg1 and
+    deg s <= max_deg2, distinct from each other and from y, whose product
+    with y has odd degree (the eps table needs odd total degree)."""
+    q = y.q
+    out = []
+    for d1 in range(1, max_deg1 + 1):
+        for p in monic_irreducibles(q, d1):
+            if p == y:
+                continue
+            for d2 in range(1, max_deg2 + 1):
+                if (y.degree + d1 + d2) % 2 == 0:
+                    continue
+                for s in monic_irreducibles(q, d2):
+                    if s != p and s != y:
+                        out.append((p, s))
+    return out
+
+
+def passes_cheap_filters(D, y):
+    """Hypotheses that hold for every n: the mu-obstruction, a mu-witness at
+    both ramified primes, and some ramified prime outside P(y).  Symbols
+    come first; the excluded-prime test needs the norms of dset(y)."""
+    return (mu_y_obstruction(D, y)
+            and ramified_mu(D, "ram1") is not None
+            and ramified_mu(D, "ram2") is not None
+            and (p_excluded(D.ram1, y) or p_excluded(D.ram2, y)))
+
+
+def _certify_pair(job):
+    """Worker: the n = 1 certificate for one candidate pair, from text so
+    the job pickles cheaply."""
+    q, p_text, s_text, y_text, seed = job
+    D = QuaternionData(ram1=parse_poly(p_text, q), ram2=parse_poly(s_text, q))
+    one = Poly.one(q)
+    cert = hasse_certificate(D, parse_poly(y_text, q), one,
+                             admissible_eps_set(one)[0], seed=seed)
+    return p_text, s_text, cert.data
+
+
+def search(y, max_deg1, max_deg2, seed=0, workers=1):
+    """Certify every candidate pair that passes the cheap filters.
+
+    Returns (number of candidates, results), where results lists
+    (ram1 text, ram2 text, certificate dict) in candidate order, VALID and
+    INVALID alike.  `workers` > 1 certifies in that many processes; the
+    results are the same.
+    """
+    pairs = candidates(y, max_deg1, max_deg2)
+    jobs = [(y.q, format_poly(p), format_poly(s), format_poly(y), seed)
+            for p, s in pairs
+            if passes_cheap_filters(QuaternionData(ram1=p, ram2=s), y)]
+    if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_certify_pair, jobs))
+    else:
+        results = [_certify_pair(job) for job in jobs]
+    return len(pairs), results

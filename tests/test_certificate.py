@@ -106,6 +106,10 @@ def mutations(data):
     d["radicand"] = "t"
     yield "radicand", d
 
+    d = copy.deepcopy(data)
+    d["eps"] += data["field_order"]  # same unit, but not the recorded residue
+    yield "eps not reduced", d
+
     for key in ("field_splits", "y_ramified", "ram1_excluded", "mu_obstruction"):
         d = copy.deepcopy(data)
         d["criterion"][key] = not d["criterion"][key]
@@ -120,8 +124,19 @@ def mutations(data):
     yield "witness c=0", d
 
     d = copy.deepcopy(data)
+    d["local"]["witnesses"].append(dict(d["local"]["witnesses"][0]))
+    yield "duplicate witness", d
+
+    d = copy.deepcopy(data)
     d["local"]["lambda_cutoff"] += 2
     yield "lambda_cutoff", d
+
+    # ram1_mu is 2 for the certificate below: 0 and 3 are not units mod 3,
+    # 1 fails the mu-witness rule, and a ramified prime needs some mu
+    for mu in (0, 3, 1, None):
+        d = copy.deepcopy(data)
+        d["local"]["ram1_mu"] = mu
+        yield "ram1_mu=%r" % (mu,), d
 
     d = copy.deepcopy(data)
     d["local"]["fast_m"] = (d["local"]["fast_m"] or 0) + 1
@@ -134,6 +149,7 @@ def mutations(data):
 
 def test_mutation_battery():
     data = json.loads(make_cert(3, "t^3+t^2+t+2", "t+1").to_json())
+    assert data["local"]["ram1_mu"] == 2
     for name, mutated in mutations(data):
         code, failures = verify_certificate(mutated)
         assert code == 1, "mutation %r was not detected" % name
@@ -160,5 +176,22 @@ def test_schema_errors():
 
     d = copy.deepcopy(data)
     d["extra_field"] = 1
+    with pytest.raises(SchemaError):
+        verify_certificate(d)
+
+    # integers must be JSON integers: no bools, floats or strings
+    for section, key, value in (("local", "ram1_mu", "1"),
+                                ("local", "ram1_mu", 1.0),
+                                ("local", "ram2_mu", True),
+                                (None, "eps", 1.5),
+                                (None, "eps", True),
+                                (None, "eps", "x")):
+        d = copy.deepcopy(data)
+        (d if section is None else d[section])[key] = value
+        with pytest.raises(SchemaError):
+            verify_certificate(d)
+
+    d = copy.deepcopy(data)
+    d["local"]["witnesses"][0]["c"] = 1.5
     with pytest.raises(SchemaError):
         verify_certificate(d)

@@ -106,3 +106,16 @@ def test_search_threads_agrees_with_serial(capsys):
     _, serial, _ = run(base, capsys)
     _, threaded, _ = run(base + ["--threads", "2"], capsys)
     assert serial == threaded
+
+
+def test_threads_is_a_search_only_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["wset", "--field-order", "3", "--y", "t", "--threads", "2"])
+    assert exc.value.code == 2
+
+
+def test_local_rejects_field_that_does_not_split(capsys):
+    # t+1 splits in F(sqrt(t+2)): hypothesis 1 fails, so the input is invalid
+    code, _, err = run(["local", "--field-order", "3", "--ram1", "t^3+t^2+t+2",
+                        "--ram2", "t+1", "--radicand", "t+2"], capsys)
+    assert code == 2 and "does not split" in err

@@ -26,15 +26,6 @@ def test_inv_of_zero_fails():
         ffield.inv(0, 3)
 
 
-def test_scalar_arith():
-    assert ffield.scalar_arith(2, 2, "add", 3) == 1
-    assert ffield.scalar_arith(1, 2, "sub", 3) == 2
-    assert ffield.scalar_arith(2, 2, "mul", 3) == 1
-    assert ffield.scalar_arith(1, 2, "div", 3) == 2
-    with pytest.raises(InvalidInput):
-        ffield.scalar_arith(1, 0, "div", 3)
-
-
 def test_is_square_matches_brute_force():
     for q in (3, 5, 7, 11):
         squares = {(x * x) % q for x in range(1, q)}

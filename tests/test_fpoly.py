@@ -5,8 +5,7 @@ import sympy
 
 from dscurves import fpoly
 from dscurves.errors import InvalidInput, ParseError
-from dscurves.fpoly import (Poly, enumerate_monic_irreducibles, factor,
-                            format_poly, gauss_irreducible_count,
+from dscurves.fpoly import (Poly, factor, format_poly, gauss_irreducible_count,
                             is_irreducible, is_squarefree, monic_irreducibles,
                             parse_poly, poly_gcd, polys_of_degree_at_most,
                             powmod, residue_symbol, valuation)
@@ -157,11 +156,6 @@ def test_enumeration_order_is_lexicographic():
     irr = monic_irreducibles(3, 2)
     ik = [p.sort_key() for p in irr]
     assert ik == sorted(ik)
-
-
-def test_enumerate_monic_irreducibles_streams_by_degree():
-    got = tuple(enumerate_monic_irreducibles(3, 2))
-    assert got == monic_irreducibles(3, 2)
 
 
 def test_factor_round_trip_random():

@@ -1,0 +1,39 @@
+import json
+
+from dscurves import cli, search
+from dscurves.fpoly import parse_poly
+from dscurves.localpoints import local_ramified_prime, mu_witness_ok, ramified_mu
+from dscurves.splitting import QuadraticField, QuaternionData
+
+WINDOW = ["--field-order", "3", "--max-deg1", "3", "--max-deg2", "1"]
+
+
+def test_library_search_matches_cli(capsys):
+    y = parse_poly("t", 3)
+    n_candidates, results = search.search(y, 3, 1, workers=1)
+    valid = [(a, b, d) for a, b, d in results if d["verdict"] == "VALID"]
+
+    assert cli.main(["search"] + WINDOW + ["--json"]) == 0
+    triples = json.loads(capsys.readouterr().out)["triples"]
+    assert [(t["ram1"], t["ram2"], t["certificate"]) for t in triples] == valid
+
+    assert cli.main(["search"] + WINDOW) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.endswith("out of %d candidate(s)" % n_candidates)
+    assert n_candidates == len(search.candidates(y, 3, 1))
+
+
+def test_ramified_mu_is_the_local_rule():
+    q = 3
+    y = parse_poly("t", q)
+    pairs = search.candidates(y, 3, 1)
+    assert pairs
+    for p, s in pairs:
+        D = QuaternionData(ram1=p, ram2=s)
+        K = QuadraticField(eps=1, radical=y * p * s)
+        for which in ("ram1", "ram2"):
+            mu = ramified_mu(D, which)
+            assert local_ramified_prime(D, K, which) == (mu is not None, mu)
+            # the rule depends on mu only through its square class
+            assert (mu is not None) == any(mu_witness_ok(D, which, m)
+                                           for m in range(1, q))
