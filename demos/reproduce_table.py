@@ -29,7 +29,7 @@ for q, ptxt, stxt in TRIPLES:
     y = parse_poly("t", q)
     one = Poly.one(q)
     eps = admissible_eps_set(one)[0]
-    cert = hasse_certificate(D, y, one, eps, seed=0)
+    cert = hasse_certificate(D, y, one, eps)
     code, failures = verify_certificate(json.loads(cert.to_json()))
     local = cert.data["local"]
     print("(q=%d, p=%s, q'=%s)" % (q, ptxt, stxt))

@@ -28,13 +28,10 @@ EXIT_INVALID = 2
 EXIT_SCHEMA = 3
 
 
-def _add_common(sub, *, seed=False):
+def _add_common(sub):
     sub.add_argument("--field-order", type=int, required=True, metavar="Q",
                      help="the odd prime q")
     sub.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    if seed:
-        sub.add_argument("--seed", type=int, default=0,
-                         help="seed for the factorization randomness")
 
 
 def build_parser():
@@ -54,8 +51,10 @@ def build_parser():
     p.add_argument("--p", required=True)
 
     p = subs.add_parser("pset", help="compute the full excluded-prime set of y")
-    _add_common(p, seed=True)
+    _add_common(p)
     p.add_argument("--y", required=True)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the factorization randomness")
 
     p = subs.add_parser("criterion", help="evaluate the global non-existence criterion")
     _add_common(p)
@@ -73,7 +72,7 @@ def build_parser():
     p.add_argument("--eps", type=int, default=1)
 
     p = subs.add_parser("certify", help="produce a Hasse-violation certificate")
-    _add_common(p, seed=True)
+    _add_common(p)
     p.add_argument("--ram1", required=True)
     p.add_argument("--ram2", required=True)
     p.add_argument("--y", required=True)
@@ -85,7 +84,7 @@ def build_parser():
     p.add_argument("cert", help="path to a certificate JSON file")
 
     p = subs.add_parser("search", help="search (ram1, ram2) pairs violating the Hasse principle")
-    _add_common(p, seed=True)
+    _add_common(p)
     p.add_argument("--max-deg1", type=int, required=True)
     p.add_argument("--max-deg2", type=int, required=True)
     p.add_argument("--y", default="t")
@@ -191,16 +190,7 @@ def cmd_criterion(args):
     y = _irreducible_arg(args.y, q, "y")
     K = _field_args(args, q)
     report = nonexistence_criterion(D, y, K)
-    payload = {
-        "field_splits": report.field_splits,
-        "y_ramified": report.y_ramified,
-        "ram1_excluded": report.ram1_excluded,
-        "ram2_excluded": report.ram2_excluded,
-        "excluded_prime": report.excluded_prime,
-        "mu_obstruction": report.mu_obstruction,
-        "ok": report.ok,
-        "failures": list(report.failures),
-    }
+    payload = dict(report.to_dict(), failures=list(report.failures))
     if args.json:
         print(canonical_json(payload), end="")
     else:
@@ -244,7 +234,7 @@ def cmd_certify(args):
     D = _quaternion_args(args, q)
     y = _irreducible_arg(args.y, q, "y")
     n_poly = _parse(args.n_poly, q, "n-poly")
-    cert = hasse_certificate(D, y, n_poly, args.eps, seed=args.seed)
+    cert = hasse_certificate(D, y, n_poly, args.eps)
     text = cert.to_json()
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
@@ -259,7 +249,8 @@ def cmd_verify(args):
     try:
         with open(args.cert) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers bad JSON and bytes that are not UTF-8
+    except (OSError, ValueError, RecursionError) as exc:
         print("cannot read certificate: %s" % exc, file=sys.stderr)
         return EXIT_SCHEMA
     try:
@@ -279,7 +270,7 @@ def cmd_search(args):
     q = args.field_order
     y = _irreducible_arg(args.y, q, "y")
     n_candidates, results = search(y, args.max_deg1, args.max_deg2,
-                                   seed=args.seed, workers=args.threads)
+                                   workers=args.threads)
     triples = [(a, b, d) for a, b, d in results if d["verdict"] == VALID]
     if args.json:
         print(canonical_json({

@@ -208,14 +208,16 @@ class Poly:
 def _mul_coeffs(a, b, q):
     if not a or not b:
         return ()
-    if len(a) * len(b) <= _SMALL_MUL:
+    # np.convolve sums up to min(len) products below q^2 in int64; when that
+    # could overflow, the exact Python-int schoolbook product runs instead
+    if (len(a) * len(b) <= _SMALL_MUL
+            or (q - 1) ** 2 * min(len(a), len(b)) >= 2 ** 63):
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
         return tuple(c % q for c in out)
-    # coefficients < q <= 7 and lengths < ~10^4 keep the convolution within int64
     conv = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)) % q
     return tuple(int(c) for c in conv)
 

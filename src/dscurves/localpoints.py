@@ -31,19 +31,24 @@ class LocalWitness:
     c: int
 
 
-def witness_ok(D, w):
-    """Re-check every witness invariant; no search involved."""
-    if 2 * w.a.degree > w.l.degree:
-        return False
-    if w.c % D.q == 0:
-        return False
-    disc = w.a * w.a - 4 * w.c * w.l
+def _nonsplit_disc(D, disc):
+    """True iff a quadratic with discriminant disc is non-split at infinity,
+    ram1 and ram2: the witness rule shared by `witness_ok` and
+    `witness_search`."""
     if not nonsquare_at_infinity(disc):
         return False
-    for r in (D.ram1, D.ram2):
-        if residue_symbol(disc, r) != -1 and valuation(disc, r) % 2 == 0:
-            return False
-    return True
+    return all(residue_symbol(disc, r) == -1 or valuation(disc, r) % 2 == 1
+               for r in (D.ram1, D.ram2))
+
+
+def witness_ok(D, w):
+    """Re-check every witness invariant; no search involved.  c must be a
+    reduced unit, 0 < c < q, as `witness_search` writes it."""
+    if 2 * w.a.degree > w.l.degree:
+        return False
+    if not 0 < w.c < D.q:
+        return False
+    return _nonsplit_disc(D, w.a * w.a - 4 * w.c * w.l)
 
 
 def local_infinity(D, K):
@@ -63,10 +68,11 @@ def _ramified_pair(D, which):
 
 
 def mu_witness_ok(D, which, mu):
-    """True iff mu is a unit with neither the other ramified prime nor
-    infinity split in F(sqrt(mu*r)), r the prime named by `which`."""
+    """True iff mu is a reduced unit, 0 < mu < q, with neither the other
+    ramified prime nor infinity split in F(sqrt(mu*r)), r the prime named
+    by `which`."""
     r, s = _ramified_pair(D, which)
-    if mu % D.q == 0:
+    if not 0 < mu < D.q:
         return False
     aux = QuadraticField(eps=mu, radical=r)
     return (place_behavior(s, aux) != SplitType.SPLIT
@@ -81,18 +87,25 @@ def ramified_mu(D, which):
     return None
 
 
-def local_ramified_prime(D, K, which):
+def local_ramified_prime(D, K, which, recorded=None):
     """Points above the chosen ramified prime r.
 
-    Inert r needs nothing; ramified r needs a mu-witness (`ramified_mu`);
-    split r fails.  Returns (ok, mu-witness or None).
+    Inert r needs nothing; ramified r needs a mu-witness; split r fails.
+    The mu-witness comes from `ramified_mu`, or, given a recorded
+    LocalReport, is its mu for r when `mu_witness_ok` accepts it.
+    Returns (ok, mu-witness or None).
     """
     behavior = place_behavior(_ramified_pair(D, which)[0], K)
     if behavior == SplitType.INERT:
         return True, None
     if behavior == SplitType.SPLIT:
         return False, None
-    mu = ramified_mu(D, which)
+    if recorded is None:
+        mu = ramified_mu(D, which)
+    else:
+        mu = getattr(recorded, which + "_mu")
+        if mu is not None and not mu_witness_ok(D, which, mu):
+            mu = None
     return mu is not None, mu
 
 
@@ -130,13 +143,8 @@ def witness_search(D, l):
     for c in range(1, q):
         cl4 = 4 * c * l
         for a in polys_of_degree_at_most(q, half):
-            w = LocalWitness(l=l, a=a, c=c)
-            disc = a * a - cl4
-            if not nonsquare_at_infinity(disc):
-                continue
-            if all(residue_symbol(disc, r) == -1 or valuation(disc, r) % 2 == 1
-                   for r in (D.ram1, D.ram2)):
-                return w
+            if _nonsplit_disc(D, a * a - cl4):
+                return LocalWitness(l=l, a=a, c=c)
     return None
 
 
@@ -240,24 +248,36 @@ class LocalReport:
         }
 
 
-def local_all(D, K):
+def local_all(D, K, recorded=None):
     """Run the whole battery for a K that splits D.
 
     Places above the witness cutoff are discharged by the degree-bound lemma
     (beyond lambda_cutoff) or by the uniform bound m (between 2m+1 and the
     cutoff); everything below gets an explicit witness or lands in
     `unwitnessed`.
+
+    Given a `recorded` LocalReport (read from a certificate), nothing is
+    searched: each ramified prime and each place keeps its recorded mu or
+    witness when the rule accepts it, so the report states what the
+    recorded witnesses establish.  Only its mu and witnesses are read.
     """
     if not field_splits_quaternion(K, D):
         raise InvalidInput("K does not split the quaternion algebra")
     infinity_ok = infinity_behavior(K) != SplitType.SPLIT
-    ram1_ok, ram1_mu = local_ramified_prime(D, K, "ram1")
-    ram2_ok, ram2_mu = local_ramified_prime(D, K, "ram2")
+    ram1_ok, ram1_mu = local_ramified_prime(D, K, "ram1", recorded)
+    ram2_ok, ram2_mu = local_ramified_prime(D, K, "ram2", recorded)
     m = fast_m_bound(D)
     wit_cutoff = witness_cutoff(D, m)
+    if recorded is not None:
+        by_place = {w.l: w for w in recorded.witnesses}
     witnesses, unwitnessed = [], []
     for l in lambda_set(D, max_degree=wit_cutoff):
-        w = witness_search(D, l)
+        if recorded is None:
+            w = witness_search(D, l)
+        else:
+            w = by_place.get(l)
+            if w is not None and not witness_ok(D, w):
+                w = None
         if w is None:
             unwitnessed.append(l)
         else:

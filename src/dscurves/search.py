@@ -44,15 +44,15 @@ def passes_cheap_filters(D, y):
 def _certify_pair(job):
     """Worker: the n = 1 certificate for one candidate pair, from text so
     the job pickles cheaply."""
-    q, p_text, s_text, y_text, seed = job
+    q, p_text, s_text, y_text = job
     D = QuaternionData(ram1=parse_poly(p_text, q), ram2=parse_poly(s_text, q))
     one = Poly.one(q)
     cert = hasse_certificate(D, parse_poly(y_text, q), one,
-                             admissible_eps_set(one)[0], seed=seed)
+                             admissible_eps_set(one)[0])
     return p_text, s_text, cert.data
 
 
-def search(y, max_deg1, max_deg2, seed=0, workers=1):
+def search(y, max_deg1, max_deg2, workers=1):
     """Certify every candidate pair that passes the cheap filters.
 
     Returns (number of candidates, results), where results lists
@@ -61,7 +61,7 @@ def search(y, max_deg1, max_deg2, seed=0, workers=1):
     results are the same.
     """
     pairs = candidates(y, max_deg1, max_deg2)
-    jobs = [(y.q, format_poly(p), format_poly(s), format_poly(y), seed)
+    jobs = [(y.q, format_poly(p), format_poly(s), format_poly(y))
             for p, s in pairs
             if passes_cheap_filters(QuaternionData(ram1=p, ram2=s), y)]
     if workers > 1 and len(jobs) > 1:

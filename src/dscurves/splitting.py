@@ -131,6 +131,19 @@ class CriterionReport:
     def ok(self):
         return not self.failures
 
+    def to_dict(self):
+        """The JSON-ready `criterion` section of a certificate;
+        `dscurves criterion --json` adds the failures."""
+        return {
+            "field_splits": self.field_splits,
+            "y_ramified": self.y_ramified,
+            "ram1_excluded": self.ram1_excluded,
+            "ram2_excluded": self.ram2_excluded,
+            "excluded_prime": self.excluded_prime,
+            "mu_obstruction": self.mu_obstruction,
+            "ok": self.ok,
+        }
+
 
 _HYPOTHESES = (
     ("field_splits", "K splits the quaternion algebra"),

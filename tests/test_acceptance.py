@@ -43,7 +43,7 @@ def test_criterion_1_table_reproduction(capsys):
         D = QuaternionData(ram1=parse_poly(ptxt, q), ram2=parse_poly(stxt, q))
         one = Poly.one(q)
         cert = hasse_certificate(D, parse_poly("t", q), one,
-                                 admissible_eps_set(one)[0], seed=0)
+                                 admissible_eps_set(one)[0])
         elapsed = time.time() - t0
         budget = 5.0 if q == 3 else 60.0
         if not (cert.valid and elapsed <= budget):
@@ -175,7 +175,7 @@ def test_criterion_6_property_suites(capsys):
     D = QuaternionData(ram1=parse_poly("t^3+t^2+t+2", q),
                        ram2=parse_poly("t+1", q))
     base = json.loads(hasse_certificate(D, parse_poly("t", q), Poly.one(q),
-                                        1, seed=0).to_json())
+                                        1).to_json())
     for w in base["local"]["witnesses"]:
         mutated = copy.deepcopy(base)
         idx = base["local"]["witnesses"].index(w)

@@ -1,7 +1,9 @@
 import copy
 import json
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dscurves.certificate import (SCHEMA_VERSION, SchemaError,
                                   admissible_eps_set, canonical_json,
@@ -17,13 +19,13 @@ KNOWN_TRIPLES = [
 ]
 
 
-def make_cert(q, ptxt, stxt, ntxt="1", eps=None, seed=0):
+def make_cert(q, ptxt, stxt, ntxt="1", eps=None):
     y = parse_poly("t", q)
     D = QuaternionData(ram1=parse_poly(ptxt, q), ram2=parse_poly(stxt, q))
     n_poly = parse_poly(ntxt, q)
     if eps is None:
         eps = admissible_eps_set(n_poly)[0]
-    return hasse_certificate(D, y, n_poly, eps, seed=seed)
+    return hasse_certificate(D, y, n_poly, eps)
 
 
 def test_admissible_eps_set():
@@ -115,6 +117,33 @@ def mutations(data):
         d["criterion"][key] = not d["criterion"][key]
         yield "criterion." + key, d
 
+    # 1 == True in Python, but not in canonical JSON
+    for section in ("criterion", "local"):
+        d = copy.deepcopy(data)
+        d[section]["ok"] = 1
+        yield section + ".ok=1", d
+
+    d = copy.deepcopy(data)
+    d["reasons"] = d["reasons"] + ["edited"]
+    yield "reasons", d
+
+    d = copy.deepcopy(data)
+    d["seed"] = 1
+    yield "seed", d
+
+    d = copy.deepcopy(data)
+    d["local"]["fast_m"] = str(d["local"]["fast_m"])
+    yield "fast_m as a string", d
+
+    # a certificate is canonical: witnesses in lambda_set order, c reduced
+    d = copy.deepcopy(data)
+    d["local"]["witnesses"].reverse()
+    yield "reversed witnesses", d
+
+    d = copy.deepcopy(data)
+    d["local"]["witnesses"][0]["c"] += data["field_order"]
+    yield "witness c not reduced", d
+
     d = copy.deepcopy(data)
     d["local"]["witnesses"] = d["local"]["witnesses"][:-1]
     yield "dropped witness", d
@@ -132,8 +161,9 @@ def mutations(data):
     yield "lambda_cutoff", d
 
     # ram1_mu is 2 for the certificate below: 0 and 3 are not units mod 3,
-    # 1 fails the mu-witness rule, and a ramified prime needs some mu
-    for mu in (0, 3, 1, None):
+    # 1 fails the mu-witness rule, 5 is 2 unreduced, and a ramified prime
+    # needs some mu
+    for mu in (0, 3, 1, 5, None):
         d = copy.deepcopy(data)
         d["local"]["ram1_mu"] = mu
         yield "ram1_mu=%r" % (mu,), d
@@ -179,19 +209,75 @@ def test_schema_errors():
     with pytest.raises(SchemaError):
         verify_certificate(d)
 
-    # integers must be JSON integers: no bools, floats or strings
-    for section, key, value in (("local", "ram1_mu", "1"),
-                                ("local", "ram1_mu", 1.0),
-                                ("local", "ram2_mu", True),
-                                (None, "eps", 1.5),
-                                (None, "eps", True),
-                                (None, "eps", "x")):
+    # integers must be JSON integers (no bools, floats or strings),
+    # polynomials JSON strings, witnesses and unwitnessed lists, and each
+    # witness an object with exactly the keys l, a and c
+    for path, value in ((("local", "ram1_mu"), "1"),
+                        (("local", "ram1_mu"), 1.0),
+                        (("local", "ram2_mu"), True),
+                        (("eps",), 1.5),
+                        (("eps",), True),
+                        (("eps",), "x"),
+                        (("local", "witnesses", 0, "c"), 1.5),
+                        (("local", "witnesses"), 5),
+                        (("local", "unwitnessed"), 5),
+                        (("local", "unwitnessed"), [[1]]),
+                        (("y",), 5),
+                        (("ram1",), None),
+                        (("local", "witnesses", 0, "l"), 5),
+                        (("local", "witnesses", 0), ["t", "1", 1]),
+                        (("local", "witnesses", 0, "extra"), 1)):
         d = copy.deepcopy(data)
-        (d if section is None else d[section])[key] = value
+        _at(d, path[:-1])[path[-1]] = value
         with pytest.raises(SchemaError):
             verify_certificate(d)
 
-    d = copy.deepcopy(data)
-    d["local"]["witnesses"][0]["c"] = 1.5
-    with pytest.raises(SchemaError):
-        verify_certificate(d)
+
+def _at(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+def _paths(node, prefix=()):
+    """Every path from the root of a JSON value to one of its nodes."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _json_type(value):
+    return type(value).__name__
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+_VALID_Q3 = json.loads(make_cert(3, "t^3+t^2+t+2", "t+1").to_json())
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=5), derandomize=True,
+          database=None)
+@given(st.data())
+def test_verify_rejects_any_retyped_or_deleted_field(data):
+    # the trust boundary: one leaf given another JSON type, or one key
+    # deleted, is exit 1 or a SchemaError, never exit 0 or another exception
+    path = data.draw(st.sampled_from(sorted(_paths(_VALID_Q3), key=repr)))
+    d = copy.deepcopy(_VALID_Q3)
+    parent, old = _at(d, path[:-1]), _at(d, path)
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(
+            _JSON_VALUES.filter(lambda v: _json_type(v) != _json_type(old)))
+    try:
+        code, failures = verify_certificate(d)
+    except SchemaError:
+        return
+    assert code == 1 and failures

@@ -73,9 +73,16 @@ def test_certify_verify_cycle(tmp_path, capsys):
     assert code == 3
 
 
-def test_verify_unreadable_file(capsys):
+def test_verify_unreadable_file(capsys, tmp_path):
     code, _, _ = run(["verify", "/nonexistent/cert.json"], capsys)
     assert code == 3
+    # bytes that are not UTF-8, and nesting deeper than the decoder's limit
+    for name, content in (("binary.json", b"\xff\xfe\x00"),
+                          ("deep.json", b"[" * 100000 + b"]" * 100000)):
+        path = tmp_path / name
+        path.write_bytes(content)
+        code, _, _ = run(["verify", str(path)], capsys)
+        assert code == 3
 
 
 def test_invalid_inputs_exit_2(capsys):

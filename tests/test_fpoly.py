@@ -62,19 +62,21 @@ def test_mul_matches_sympy_random():
 
 
 def test_large_mul_matches_schoolbook():
-    # crosses the convolution threshold
+    # crosses the convolution threshold; at q = 3037000493, which
+    # validate_field_order accepts, (q-1)^2 alone is near 2^63, so an int64
+    # convolution would overflow
     rng = random.Random(3)
-    q = 7
-    f = Poly(q, tuple(rng.randrange(q) for _ in range(1500)))
-    g = Poly(q, tuple(rng.randrange(q) for _ in range(1500)))
-    out = [0] * (len(f.coeffs) + len(g.coeffs) - 1)
-    for i, ai in enumerate(f.coeffs):
-        for j, bj in enumerate(g.coeffs):
-            out[i + j] += ai * bj
-    slow = tuple(c % q for c in out)
-    while slow and slow[-1] == 0:
-        slow = slow[:-1]
-    assert (f * g).coeffs == slow
+    for q, terms in ((7, 1500), (3037000493, 200)):
+        f = Poly(q, tuple(rng.randrange(q) for _ in range(terms)))
+        g = Poly(q, tuple(rng.randrange(q) for _ in range(terms)))
+        out = [0] * (len(f.coeffs) + len(g.coeffs) - 1)
+        for i, ai in enumerate(f.coeffs):
+            for j, bj in enumerate(g.coeffs):
+                out[i + j] += ai * bj
+        slow = tuple(c % q for c in out)
+        while slow and slow[-1] == 0:
+            slow = slow[:-1]
+        assert (f * g).coeffs == slow
 
 
 def test_divmod_invariant_random():
