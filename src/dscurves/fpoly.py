@@ -294,17 +294,14 @@ def monic_irreducibles(q, degree):
     return tuple(out)
 
 
-def polys_of_degree_at_most(q, maxdeg, monic=False):
-    """All polynomials with degree <= maxdeg (zero first when not monic),
-    ordered by degree then lexicographically on coefficient vectors."""
+def polys_of_degree_at_most(q, maxdeg):
+    """All polynomials with degree <= maxdeg, zero first, ordered by degree
+    then lexicographically on coefficient vectors."""
     ffield.validate_field_order(q)
-    if not monic:
-        yield Poly.zero(q)
+    yield Poly.zero(q)
     for deg in range(0, maxdeg + 1):
         for cs in itertools.product(range(q), repeat=deg + 1):
             if cs[-1] == 0:
-                continue
-            if monic and cs[-1] != 1:
                 continue
             yield Poly._raw(q, cs)
 
@@ -415,12 +412,17 @@ def is_squarefree(f):
     return (not d.is_zero) and poly_gcd(f, d).degree == 0
 
 
-# square tables make repeated residue symbols against a fixed small prime cheap
+# residue_symbol looks its answer up in square_residues(p) up to this many
+# residues, and above it uses Euler's criterion, which needs no table
 _SQUARE_TABLE_CAP = 8192
 
 
 @lru_cache(maxsize=None)
-def _square_table(p):
+def square_residues(p):
+    """The nonzero squares mod the monic irreducible p, as a frozenset of
+    the canonical coefficient tuples (`Poly.coeffs`) of their reductions.
+    A residue r != 0 with deg r < deg p is a square iff r.coeffs is in it.
+    Building it costs one product and one division per residue."""
     squares = set()
     for a in polys_of_degree_at_most(p.q, p.degree - 1):
         if not a.is_zero:
@@ -435,7 +437,7 @@ def residue_symbol(a, p):
         return 0
     q = p.q
     if q ** p.degree <= _SQUARE_TABLE_CAP:
-        return 1 if r.coeffs in _square_table(p) else -1
+        return 1 if r.coeffs in square_residues(p) else -1
     e = (q ** p.degree - 1) // 2
     s = powmod(r, e, p)
     if s == Poly.one(q):
@@ -464,6 +466,20 @@ def valuation(f, p):
 _TERM = re.compile(r"(?:(\d+)\s*\*?\s*)?t(?:\s*\^\s*(\d+))?|(\d+)")
 _SIGN = re.compile(r"\s*([+-])\s*")
 
+# largest exponent parse_poly accepts: a term t^k allocates k coefficients,
+# and this sits far above any degree dscurves reads or writes
+_MAX_PARSE_DEGREE = 10 ** 5
+
+
+def _bounded_int(digits, largest, what, pos):
+    """int(digits) when it is at most largest, else ParseError.  The digit
+    count is checked first, so no numeral too long for int() reaches it."""
+    if len(digits.lstrip("0")) <= len(str(largest)):
+        value = int(digits)
+        if value <= largest:
+            return value
+    raise ParseError("%s out of range: at most %d" % (what, largest), pos)
+
 
 def parse_poly(text, q):
     """Parse the term grammar `c*t^k | c t^k | t^k | t | c` or `[c0,c1,...]`."""
@@ -482,11 +498,9 @@ def parse_poly(text, q):
             part = part.strip()
             if not re.fullmatch(r"-?\d+", part):
                 raise ParseError("bad coefficient %r" % part, text.find(part))
-            c = int(part)
-            if c >= q or c <= -q:
-                raise ParseError("coefficient %d out of range for F_%d" % (c, q),
-                                 text.find(part))
-            coeffs.append(c % q)
+            c = _bounded_int(part.lstrip("-"), q - 1, "coefficient",
+                             text.find(part))
+            coeffs.append(-c if part.startswith("-") else c)
         return Poly(q, coeffs)
 
     coeffs = {}
@@ -502,13 +516,15 @@ def parse_poly(text, q):
         m = _TERM.match(s, pos)
         if not m or m.start() != pos:
             raise ParseError("expected a term", pos)
+        digits = m.group(3) or m.group(1)
+        c = 1 if digits is None else _bounded_int(digits, q - 1, "coefficient", pos)
         if m.group(3) is not None:
-            c, k = int(m.group(3)), 0
+            k = 0
+        elif m.group(2) is None:
+            k = 1
         else:
-            c = int(m.group(1)) if m.group(1) is not None else 1
-            k = int(m.group(2)) if m.group(2) is not None else 1
-        if c >= q:
-            raise ParseError("coefficient %d out of range for F_%d" % (c, q), pos)
+            k = _bounded_int(m.group(2), _MAX_PARSE_DEGREE, "exponent",
+                             m.start(2))
         coeffs[k] = (coeffs.get(k, 0) + sign * c) % q
         pos = m.end()
         while pos < len(s) and s[pos].isspace():

@@ -12,10 +12,11 @@ degree >= 2m + 1 so explicit searches stop at degree 2m.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import ffield, fpoly
+from . import ffield
 from .errors import InvalidInput
 from .fpoly import (Poly, format_poly, monic_irreducibles,
-                    polys_of_degree_at_most, residue_symbol, valuation)
+                    polys_of_degree_at_most, residue_symbol, square_residues,
+                    valuation)
 from .splitting import (QuadraticField, SplitType, field_splits_quaternion,
                         infinity_behavior, place_behavior)
 from .weil import nonsquare_at_infinity
@@ -37,8 +38,12 @@ def _nonsplit_disc(D, disc):
     `witness_search`."""
     if not nonsquare_at_infinity(disc):
         return False
-    return all(residue_symbol(disc, r) == -1 or valuation(disc, r) % 2 == 1
-               for r in (D.ram1, D.ram2))
+    for r in (D.ram1, D.ram2):
+        symbol = residue_symbol(disc, r)
+        # symbol +1 means r does not divide disc: valuation 0, so split
+        if symbol == 1 or (symbol == 0 and valuation(disc, r) % 2 == 0):
+            return False
+    return True
 
 
 def witness_ok(D, w):
@@ -121,12 +126,11 @@ def witness_cutoff(D, m):
     return cutoff if m is None else min(2 * m, cutoff)
 
 
-def lambda_set(D, max_degree=None):
-    """Monic irreducibles other than the ramified primes up to max_degree
-    (default: the witness cutoff), ordered by degree then lexicographically."""
-    cutoff = lambda_cutoff(D) if max_degree is None else max_degree
+def lambda_set(D, max_degree):
+    """Monic irreducibles other than the ramified primes up to max_degree,
+    ordered by degree then lexicographically."""
     out = []
-    for deg in range(1, cutoff + 1):
+    for deg in range(1, max_degree + 1):
         for l in monic_irreducibles(D.q, deg):
             if l != D.ram1 and l != D.ram2:
                 out.append(l)
@@ -155,58 +159,34 @@ def fast_m_bound(D):
     both symbols (a^2-b / ram_i) = -1; None if no m works.
 
     When m exists, witnesses are only needed for places of degree <= 2m.
+
+    By CRT those b are exactly the pairs (b1, b2) of nonzero residues mod
+    ram1 and mod ram2, and the symbol at ram_i depends only on b_i, so the
+    loop runs over the pairs and reads each symbol from `square_residues`.
     """
     q = D.q
     p1, p2 = D.ram1, D.ram2
-    m_max = p1.degree + p2.degree - 2
-    if max(q ** p1.degree, q ** p2.degree) > fpoly._SQUARE_TABLE_CAP:
-        return _fast_m_bound_generic(D)
-    # Precompute a^2 mod p_i once per candidate a; per b only two divmods
-    # remain, and each symbol is a table lookup on the reduced difference.
-    sq1, sq2 = fpoly._square_table(p1), fpoly._square_table(p2)
+    sq1, sq2 = square_residues(p1), square_residues(p2)
     cands = [(max(a.degree, 0), (a * a) % p1, (a * a) % p2)
-             for a in polys_of_degree_at_most(q, m_max)]
+             for a in polys_of_degree_at_most(q, p1.degree + p2.degree - 2)]
+    # -b_i runs over the nonzero residues as b_i does, so a^2 - b_i is
+    # a^2 + r_i with r_i taken straight from the enumeration
+    units1 = [r for r in polys_of_degree_at_most(q, p1.degree - 1) if r]
+    units2 = [r for r in polys_of_degree_at_most(q, p2.degree - 1) if r]
     worst = 0
-    for b in polys_of_degree_at_most(q, p1.degree + p2.degree - 1):
-        if b.is_zero:
-            continue
-        b1, b2 = b % p1, b % p2
-        if b1.is_zero or b2.is_zero:
-            continue
-        best = None
-        for adeg, a21, a22 in cands:  # enumeration is degree-ascending
-            d1 = a21 - b1
-            if d1.is_zero or d1.coeffs in sq1:
-                continue
-            d2 = a22 - b2
-            if d2.is_zero or d2.coeffs in sq2:
-                continue
-            best = adeg
-            break
-        if best is None:
-            return None
-        worst = max(worst, best)
-    return worst
-
-
-def _fast_m_bound_generic(D):
-    """Slow path for residue fields too big for the square table."""
-    q = D.q
-    p1, p2 = D.ram1, D.ram2
-    m_max = p1.degree + p2.degree - 2
-    worst = 0
-    for b in polys_of_degree_at_most(q, p1.degree + p2.degree - 1):
-        if b.is_zero or (b % p1).is_zero or (b % p2).is_zero:
-            continue
-        best = None
-        for a in polys_of_degree_at_most(q, m_max):
-            d = a * a - b
-            if residue_symbol(d, p1) == -1 and residue_symbol(d, p2) == -1:
-                best = max(a.degree, 0)  # enumeration is degree-ascending
+    for r1 in units1:
+        for r2 in units2:
+            for adeg, a21, a22 in cands:  # enumeration is degree-ascending
+                d1 = a21 + r1
+                if d1.is_zero or d1.coeffs in sq1:
+                    continue
+                d2 = a22 + r2
+                if d2.is_zero or d2.coeffs in sq2:
+                    continue
+                worst = max(worst, adeg)
                 break
-        if best is None:
-            return None
-        worst = max(worst, best)
+            else:
+                return None
     return worst
 
 

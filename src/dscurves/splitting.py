@@ -101,11 +101,8 @@ def mu_y_obstruction(D, y):
     class mu some ramified prime splits in F(sqrt(mu*y))."""
     if y in (D.ram1, D.ram2):
         raise InvalidInput("y must differ from the ramified primes")
-    for mu in ffield.square_class_reps(D.q):
-        muy = mu * y
-        if residue_symbol(muy, D.ram1) != 1 and residue_symbol(muy, D.ram2) != 1:
-            return False
-    return True
+    return not any(field_splits_quaternion(QuadraticField(eps=mu, radical=y), D)
+                   for mu in ffield.square_class_reps(D.q))
 
 
 @dataclass(frozen=True)

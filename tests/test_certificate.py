@@ -226,7 +226,11 @@ def test_schema_errors():
                         (("ram1",), None),
                         (("local", "witnesses", 0, "l"), 5),
                         (("local", "witnesses", 0), ["t", "1", 1]),
-                        (("local", "witnesses", 0, "extra"), 1)):
+                        (("local", "witnesses", 0, "extra"), 1),
+                        (("local", "witnesses", 0, "a"), "t^" + "9" * 5000),
+                        (("local", "witnesses", 0, "a"), "t^1000000000"),
+                        (("y",), "t^" + "9" * 5000),
+                        (("y",), "t^1000000000")):
         d = copy.deepcopy(data)
         _at(d, path[:-1])[path[-1]] = value
         with pytest.raises(SchemaError):

@@ -66,6 +66,12 @@ def test_certify_verify_cycle(tmp_path, capsys):
     path.write_text(json.dumps(data))
     code, out, _ = run(["verify", str(path)], capsys)
     assert code == 1
+    # a witness exponent too long for int() is a schema error
+    witness = data["local"]["witnesses"][0]
+    witness["a"] = "t^" + "9" * 5000
+    path.write_text(json.dumps(data))
+    code, _, err = run(["verify", str(path)], capsys)
+    assert code == 3 and "out of range" in err
     # break the schema
     del data["criterion"]
     path.write_text(json.dumps(data))
@@ -94,6 +100,10 @@ def test_invalid_inputs_exit_2(capsys):
     assert code == 2
     code, _, err = run(["wset", "--field-order", "3", "--y", "5t+("], capsys)
     assert code == 2
+    for ram1 in ("t^" + "9" * 5000, "t^1000000000"):
+        code, _, err = run(["certify", "--field-order", "3", "--ram1", ram1,
+                            "--ram2", "t+1", "--y", "t"], capsys)
+        assert code == 2 and "out of range" in err
 
 
 def test_search_small_contains_known_triple(capsys):

@@ -288,6 +288,19 @@ def test_parse_errors_carry_position():
     assert err.value.position is not None
 
 
+def test_parse_rejects_huge_numerals_before_allocating():
+    # an exponent allocates one coefficient per degree, and int() refuses
+    # numerals of more than 4300 digits: both fail as ParseError, at once
+    nines = "9" * 5000
+    for text in ("t^1000000000", "t^4000000", "t^" + nines, nines + "t",
+                 nines, "[" + nines + "]", "[-" + nines + "]", "1+t^" + nines):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, 3)
+        assert err.value.position is not None
+    assert parse_poly("t^100000", 3).degree == 100000
+    assert parse_poly("[002, -2, 0]", 3) == parse_poly("t+2", 3)
+
+
 def test_format_is_canonical_descending():
     q = 3
     assert format_poly(parse_poly("1+t+t^2", q)) == "t^2+t+1"

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
 from dscurves.errors import InvalidInput
-from dscurves.fpoly import Poly, parse_poly
-from dscurves.localpoints import (LocalWitness, fast_m_bound,
-                                  _fast_m_bound_generic, lambda_cutoff,
+from dscurves.fpoly import (Poly, monic_irreducibles, parse_poly,
+                            polys_of_degree_at_most, residue_symbol)
+from dscurves.localpoints import (LocalWitness, fast_m_bound, lambda_cutoff,
                                   lambda_set, local_all, local_infinity,
                                   local_ramified_prime, witness_ok,
                                   witness_search)
@@ -102,11 +104,59 @@ def test_fast_m_bound_table_case():
     assert 0 <= m <= D.ram1.degree + D.ram2.degree - 2
 
 
-def test_fast_m_bound_matches_generic_path():
-    q = 3
-    for ptxt, stxt in [("t^3+t^2+t+2", "t+1"), ("t^2+1", "t+2")]:
-        D = table_D(q, ptxt, stxt)
-        assert fast_m_bound(D) == _fast_m_bound_generic(D)
+def m_bound_oracle(D):
+    """The m-bound by its definition: every b of degree below
+    deg(ram1 * ram2) coprime to both primes, a in degree order, and each
+    symbol from residue_symbol."""
+    q = D.q
+    p1, p2 = D.ram1, D.ram2
+    worst = 0
+    for b in polys_of_degree_at_most(q, p1.degree + p2.degree - 1):
+        if b.is_zero or (b % p1).is_zero or (b % p2).is_zero:
+            continue
+        for a in polys_of_degree_at_most(q, p1.degree + p2.degree - 2):
+            d = a * a - b
+            if residue_symbol(d, p1) == -1 and residue_symbol(d, p2) == -1:
+                worst = max(worst, max(a.degree, 0))
+                break
+        else:
+            return None
+    return worst
+
+
+TABLE = [(3, "t^3+t^2+t+2", "t+1"), (3, "t^4+t^3+2t+1", "t^2+1"),
+         (3, "t^5+2t+1", "t+2"), (5, "t^3+t^2+4t+1", "t+2"),
+         (5, "t^4+2", "t^2+t+1"), (7, "t^3+2", "t+3")]
+
+
+def random_Ds(q, count, rng):
+    """count distinct-prime pairs with deg ram1 <= 3 and deg ram2 <= 2."""
+    pool1 = [p for d in (1, 2, 3) for p in monic_irreducibles(q, d)]
+    pool2 = [p for d in (1, 2) for p in monic_irreducibles(q, d)]
+    out = []
+    while len(out) < count:
+        p, s = rng.choice(pool1), rng.choice(pool2)
+        if p != s:
+            out.append(QuaternionData(ram1=p, ram2=s))
+    return out
+
+
+def test_fast_m_bound_matches_oracle():
+    rng = random.Random(5)
+    # the table pairs, a pair with no uniform bound, and random pairs
+    Ds = [table_D(*row) for row in TABLE] + [table_D(3, "t^2+1", "t+2")]
+    for q in (3, 5, 7):
+        Ds += random_Ds(q, 6, rng)
+    ms = [fast_m_bound(D) for D in Ds]
+    assert ms == [m_bound_oracle(D) for D in Ds]
+    assert None in ms
+
+
+def test_fast_m_bound_above_the_old_table_cap():
+    # q^9 = 19683 residues mod ram1, above residue_symbol's table cap:
+    # fast_m_bound still reads every symbol from square_residues
+    D = table_D(3, "t^9+t^7+2t^6+1", "t+1")
+    assert fast_m_bound(D) == 4
 
 
 def test_local_all_known_triples_fast_rows():
