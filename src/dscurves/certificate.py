@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from . import ffield
-from .errors import InvalidInput, ParseError
+from .errors import InvalidInput, ParseError, excerpt
 from .fpoly import (format_poly, is_irreducible, is_squarefree, parse_poly,
                     poly_gcd)
 from .localpoints import LocalReport, LocalWitness, local_all
@@ -35,9 +35,8 @@ def admissible_eps_set(n_poly):
     """Units allowed as eps for a given n_poly: all of F_q^x when deg(n) is
     even, the non-squares when deg(n) is odd (valid when deg(y*p*q) is odd)."""
     q = n_poly.q
-    if n_poly.degree % 2 == 0:
-        return [e for e in range(1, q)]
-    return [e for e in range(1, q) if not ffield.is_square(e, q)]
+    return [e for e in range(1, q)
+            if n_poly.degree % 2 == 0 or not ffield.is_square(e, q)]
 
 
 def _quadratic_field(D, y, n_poly, eps):
@@ -84,22 +83,19 @@ def canonical_json(data):
     return json.dumps(data, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
 
 
-def _certificate_data(D, y, n_poly, K, crit, report):
-    """The certificate dict for the criterion report `crit` and the local
-    report (None when K does not split D).  The one place that writes the
-    header, the reasons and the verdict, for both certify and verify."""
+def _certificate_data(D, y, n_poly, K, recorded=None):
+    """The certificate dict for K, for certify and verify alike: runs the
+    criterion and the local battery (checking `recorded`'s mu and witnesses
+    when given) and writes the header, the reasons and the verdict."""
+    crit = nonexistence_criterion(D, y, K)
+    report = local_all(D, K, recorded)
     reasons = list(crit.failures)
-    if report is None:
-        reasons.append("local battery skipped: K does not split the algebra")
-    else:
-        if not report.infinity_ok:
-            reasons.append("infinity splits in K")
-        for name, ok in (("ram1", report.ram1_ok), ("ram2", report.ram2_ok)):
-            if not ok:
-                reasons.append("no local points above %s" % name)
-        if report.unwitnessed:
-            reasons.append("no witness for %d place(s) below the cutoff"
-                           % len(report.unwitnessed))
+    for name, ok in (("ram1", report.ram1_ok), ("ram2", report.ram2_ok)):
+        if not ok:
+            reasons.append("no local points above %s" % name)
+    if report.unwitnessed:
+        reasons.append("no witness for %d place(s) below the cutoff"
+                       % len(report.unwitnessed))
     return {
         "schema_version": SCHEMA_VERSION,
         "field_order": D.q,
@@ -113,19 +109,29 @@ def _certificate_data(D, y, n_poly, K, crit, report):
         "exponent_n": exponent_n(D.q, 2),
         "seed": 0,
         "criterion": crit.to_dict(),
-        "local": None if report is None else report.to_dict(),
-        "verdict": VALID if crit.ok and report is not None and report.ok else INVALID,
+        "local": report.to_dict(),
+        "verdict": VALID if crit.ok and report.ok else INVALID,
         "reasons": reasons,
     }
 
 
 def hasse_certificate(D, y, n_poly, eps):
     """Run the global criterion and the local battery, returning a
-    certificate marked VALID iff both succeed."""
+    certificate marked VALID iff both succeed.
+
+    Its criterion and local sections, reasons and verdict depend on
+    (q, D, y) only, so one certificate covers every admissible
+    (n_poly, eps), an infinite family of fields K:
+    - y, ram1 and ram2 divide the square-free radical, so they ramify in
+      K: `field_splits` and `y_ramified` hold, and each ramified prime
+      needs the mu of `ramified_mu(D, which)`;
+    - deg(y * ram1 * ram2) is odd, so infinity ramifies for even
+      deg n_poly and, eps being a non-square, is inert for odd deg n_poly:
+      it never splits, and `infinity_ok` holds;
+    - m, the witnesses, `excluded` and `mu_obstruction` depend on (D, y).
+    """
     K = _quadratic_field(D, y, n_poly, eps)
-    crit = nonexistence_criterion(D, y, K)
-    report = local_all(D, K) if crit.field_splits else None
-    return HasseCertificate(data=_certificate_data(D, y, n_poly, K, crit, report))
+    return HasseCertificate(data=_certificate_data(D, y, n_poly, K))
 
 
 def _json(value, kind, label):
@@ -133,7 +139,7 @@ def _json(value, kind, label):
     otherwise a SchemaError, since int() or str() would silently coerce."""
     if isinstance(value, bool) or not isinstance(value, kind):
         name = {int: "integer", str: "string", list: "list", dict: "object"}[kind]
-        raise SchemaError("%s must be a JSON %s, got %r" % (label, name, value))
+        raise SchemaError("%s must be a JSON %s, got %s" % (label, name, excerpt(value)))
     return value
 
 
@@ -156,8 +162,8 @@ def _read_local(local, q):
     witnesses = []
     for item in _json(local["witnesses"], list, "local.witnesses"):
         if set(_json(item, dict, "witness")) != _WITNESS_KEYS:
-            raise SchemaError("a witness needs exactly the keys a, c and l, got %r"
-                              % (item,))
+            raise SchemaError("a witness needs exactly the keys a, c and l, got "
+                              + excerpt(item))
         witnesses.append(LocalWitness(l=_json_poly(item["l"], q, "witness l"),
                                       a=_json_poly(item["a"], q, "witness a"),
                                       c=_json(item["c"], int, "witness c")))
@@ -230,13 +236,11 @@ def verify_certificate(data):
     if not isinstance(data, dict):
         raise SchemaError("certificate must be a JSON object")
     if data.get("schema_version") != SCHEMA_VERSION:
-        raise SchemaError("unsupported schema_version %r" % (data.get("schema_version"),))
+        raise SchemaError("unsupported schema_version " + excerpt(data.get("schema_version")))
     if data.get("d") != 2:
         raise SchemaError("only d = 2 certificates are supported")
     D, y, n_poly, K, recorded = _read_inputs(data)
-    crit = nonexistence_criterion(D, y, K)
-    report = local_all(D, K, recorded) if crit.field_splits else None
-    failures = _differences(data, _certificate_data(D, y, n_poly, K, crit, report))
+    failures = _differences(data, _certificate_data(D, y, n_poly, K, recorded))
     if failures:
         return 1, failures
     if data["verdict"] != VALID:

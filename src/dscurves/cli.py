@@ -15,12 +15,12 @@ import sys
 from . import ffield
 from .certificate import (VALID, SchemaError, canonical_json,
                           hasse_certificate, verify_certificate)
-from .errors import InvalidInput, ParseError
+from .errors import InvalidInput, ParseError, excerpt
 from .fpoly import format_poly, is_irreducible, parse_poly
 from .localpoints import local_all
 from .search import search
 from .splitting import QuadraticField, QuaternionData, nonexistence_criterion
-from .weil import dset, enumerate_weil, pset
+from .weil import enumerate_weil, norm_statuses, pset
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -97,13 +97,13 @@ def _parse(text, q, what):
     try:
         return parse_poly(text, q)
     except ParseError as exc:
-        raise InvalidInput("bad %s %r: %s" % (what, text, exc)) from exc
+        raise InvalidInput("bad %s %s: %s" % (what, excerpt(text), exc)) from exc
 
 
 def _irreducible_arg(text, q, what):
     f = _parse(text, q, what)
     if not f.is_monic or f.degree < 1 or not is_irreducible(f):
-        raise InvalidInput("%s must be a monic irreducible, got %r" % (what, text))
+        raise InvalidInput("%s must be a monic irreducible, got %s" % (what, excerpt(text)))
     return f
 
 
@@ -132,20 +132,9 @@ def cmd_pcheck(args):
     q = args.field_order
     y = _irreducible_arg(args.y, q, "y")
     p = _irreducible_arg(args.p, q, "p")
-    if p == y:
-        raise InvalidInput("p must differ from y")
-    rows, divides_any = [], False
-    for entry in dset(y):
-        if entry.is_zero:
-            status = "zero norm"
-        elif (entry.value % p).is_zero:
-            status = "divides"
-            divides_any = True
-        else:
-            status = "coprime"
-        rows.append({"weil": str(entry.source), "norm_degree": entry.value.degree,
-                     "status": status})
-    excluded = not divides_any
+    rows = [{"weil": str(entry.source), "norm_degree": entry.value.degree,
+             "status": status} for entry, status in norm_statuses(p, y)]
+    excluded = all(row["status"] != "divides" for row in rows)
     if args.json:
         print(canonical_json({"field_order": q, "y": format_poly(y),
                               "p": format_poly(p), "excluded": excluded,

@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how they quote input."""
+
+import reprlib
+
+_EXCERPT = reprlib.Repr()
+_EXCERPT.maxlevel = 1
+
+
+def excerpt(value):
+    """repr(value) cut short for an error message, however large the value:
+    long strings and numbers are elided, containers show a few items."""
+    return _EXCERPT.repr(value)
 
 
 class FieldMismatch(ValueError):

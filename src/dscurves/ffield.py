@@ -5,9 +5,12 @@ takes the field order explicitly.  Only odd prime q is supported: the residue
 symbol and discriminant machinery downstream assumes odd characteristic.
 """
 
-from .errors import InvalidInput
+from .errors import InvalidInput, excerpt
 
 _VALIDATED = set()
+
+# largest q accepted: _is_prime's trial division takes 2^19 steps here
+_MAX_FIELD_ORDER = 2 ** 40
 
 
 def _is_prime(n):
@@ -24,11 +27,12 @@ def _is_prime(n):
 
 
 def validate_field_order(q):
-    """Raise InvalidInput unless q is an odd prime >= 3."""
+    """Raise InvalidInput unless q is an odd prime, 3 <= q <= 2^40."""
     if q in _VALIDATED:
         return
-    if not isinstance(q, int) or q < 3 or q % 2 == 0 or not _is_prime(q):
-        raise InvalidInput("field order must be an odd prime >= 3, got %r" % (q,))
+    if not (isinstance(q, int) and 3 <= q <= _MAX_FIELD_ORDER and _is_prime(q)):
+        raise InvalidInput("field order must be an odd prime from 3 to %d, got %s"
+                           % (_MAX_FIELD_ORDER, excerpt(q)))
     _VALIDATED.add(q)
 
 

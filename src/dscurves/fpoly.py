@@ -20,7 +20,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from . import ffield
-from .errors import FieldMismatch, InvalidInput, ParseError
+from .errors import FieldMismatch, InvalidInput, ParseError, excerpt
 
 # crossover below which schoolbook multiplication beats numpy convolve
 _SMALL_MUL = 1024
@@ -497,7 +497,7 @@ def parse_poly(text, q):
         for part in body.split(","):
             part = part.strip()
             if not re.fullmatch(r"-?\d+", part):
-                raise ParseError("bad coefficient %r" % part, text.find(part))
+                raise ParseError("bad coefficient " + excerpt(part), text.find(part))
             c = _bounded_int(part.lstrip("-"), q - 1, "coefficient",
                              text.find(part))
             coeffs.append(-c if part.startswith("-") else c)

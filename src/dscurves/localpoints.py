@@ -1,12 +1,12 @@
 """Local-point battery: existence of points on the curve at every completion
 of K, with explicit witnesses.
 
-The three place classes are handled separately: infinity by degree parity of
-the ramified primes, the two ramified primes by a square-class search, and
-the remaining finite places by discriminant witnesses (a, c) for
-x^2 - a*x + c*l.  Places of large degree need no witness (degree-bound
-lemma), and a uniform bound m, when one exists, discharges every place of
-degree >= 2m + 1 so explicit searches stop at degree 2m.
+The three place classes are handled separately: infinity passes unless it
+splits in K, the two ramified primes need a square-class witness, and the
+other finite places discriminant witnesses (a, c) for x^2 - a*x + c*l.
+Places of large degree need no witness (degree-bound lemma), and a uniform
+bound m, when one exists, discharges every place of degree >= 2m + 1 so
+explicit searches stop at degree 2m.
 """
 
 from dataclasses import dataclass
@@ -56,27 +56,13 @@ def witness_ok(D, w):
     return _nonsplit_disc(D, w.a * w.a - 4 * w.c * w.l)
 
 
-def local_infinity(D, K):
-    """Points exist above infinity unless infinity splits in K and some
-    ramified prime has even degree."""
-    if infinity_behavior(K) != SplitType.SPLIT:
-        return True
-    return D.ram1.degree % 2 == 1 and D.ram2.degree % 2 == 1
-
-
-def _ramified_pair(D, which):
-    if which == "ram1":
-        return D.ram1, D.ram2
-    if which == "ram2":
-        return D.ram2, D.ram1
-    raise InvalidInput("which must be 'ram1' or 'ram2'")
-
-
 def mu_witness_ok(D, which, mu):
     """True iff mu is a reduced unit, 0 < mu < q, with neither the other
     ramified prime nor infinity split in F(sqrt(mu*r)), r the prime named
     by `which`."""
-    r, s = _ramified_pair(D, which)
+    if which not in ("ram1", "ram2"):
+        raise InvalidInput("which must be 'ram1' or 'ram2'")
+    r, s = (D.ram1, D.ram2) if which == "ram1" else (D.ram2, D.ram1)
     if not 0 < mu < D.q:
         return False
     aux = QuadraticField(eps=mu, radical=r)
@@ -92,19 +78,11 @@ def ramified_mu(D, which):
     return None
 
 
-def local_ramified_prime(D, K, which, recorded=None):
-    """Points above the chosen ramified prime r.
-
-    Inert r needs nothing; ramified r needs a mu-witness; split r fails.
-    The mu-witness comes from `ramified_mu`, or, given a recorded
-    LocalReport, is its mu for r when `mu_witness_ok` accepts it.
-    Returns (ok, mu-witness or None).
-    """
-    behavior = place_behavior(_ramified_pair(D, which)[0], K)
-    if behavior == SplitType.INERT:
+def _local_ramified_prime(D, K, which, recorded):
+    """(ok, mu-witness or None) above the ramified prime r named by `which`:
+    K splits D, so r is inert in K and needs nothing, or ramified."""
+    if place_behavior(getattr(D, which), K) == SplitType.INERT:
         return True, None
-    if behavior == SplitType.SPLIT:
-        return False, None
     if recorded is None:
         mu = ramified_mu(D, which)
     else:
@@ -231,6 +209,10 @@ class LocalReport:
 def local_all(D, K, recorded=None):
     """Run the whole battery for a K that splits D.
 
+    Infinity passes unless it splits in K: a conservative rule, failing
+    whatever the degrees of the ramified primes, in a case that no
+    certificate's K reaches (see `hasse_certificate`).
+
     Places above the witness cutoff are discharged by the degree-bound lemma
     (beyond lambda_cutoff) or by the uniform bound m (between 2m+1 and the
     cutoff); everything below gets an explicit witness or lands in
@@ -244,8 +226,8 @@ def local_all(D, K, recorded=None):
     if not field_splits_quaternion(K, D):
         raise InvalidInput("K does not split the quaternion algebra")
     infinity_ok = infinity_behavior(K) != SplitType.SPLIT
-    ram1_ok, ram1_mu = local_ramified_prime(D, K, "ram1", recorded)
-    ram2_ok, ram2_mu = local_ramified_prime(D, K, "ram2", recorded)
+    ram1_ok, ram1_mu = _local_ramified_prime(D, K, "ram1", recorded)
+    ram2_ok, ram2_mu = _local_ramified_prime(D, K, "ram2", recorded)
     m = fast_m_bound(D)
     wit_cutoff = witness_cutoff(D, m)
     if recorded is not None:

@@ -3,6 +3,8 @@
 Candidates are enumerated in a fixed order (degree, then lexicographic),
 pre-filtered by the n-independent hypotheses that are cheap to evaluate,
 and each survivor is certified with n = 1 and the first admissible eps.
+That loses no triple: every admissible (n_poly, eps) gives the verdict of
+n = 1, since a certificate's verdict depends on (q, D, y) only.
 """
 
 from .certificate import admissible_eps_set, hasse_certificate

@@ -166,16 +166,21 @@ def dset(y):
     return tuple(entries)
 
 
-def p_excluded(p, y):
-    """True iff p divides no nonzero norm entry for y, i.e. p avoids every
-    prime divisor of the norm set."""
+def norm_statuses(p, y):
+    """Lazily, (entry, status) for each NormEntry of dset(y): status is
+    "zero norm", "divides" when p divides the nonzero norm, or "coprime"."""
     _require_monic_irreducible(p, "p")
     if p == y:
         raise InvalidInput("p must differ from y")
     for entry in dset(y):
-        if not entry.is_zero and (entry.value % p).is_zero:
-            return False
-    return True
+        yield entry, ("zero norm" if entry.is_zero
+                      else "divides" if (entry.value % p).is_zero else "coprime")
+
+
+def p_excluded(p, y):
+    """True iff p divides no nonzero norm entry for y, i.e. p avoids every
+    prime divisor of the norm set.  Stops at the first entry p divides."""
+    return all(status != "divides" for _, status in norm_statuses(p, y))
 
 
 def pset(y, seed=0):

@@ -9,7 +9,8 @@ from dscurves.certificate import (SCHEMA_VERSION, SchemaError,
                                   admissible_eps_set, canonical_json,
                                   hasse_certificate, verify_certificate)
 from dscurves.errors import InvalidInput
-from dscurves.fpoly import Poly, parse_poly
+from dscurves.fpoly import (Poly, is_squarefree, parse_poly, poly_gcd,
+                            polys_of_degree_at_most)
 from dscurves.splitting import QuaternionData
 
 KNOWN_TRIPLES = [
@@ -19,13 +20,12 @@ KNOWN_TRIPLES = [
 ]
 
 
-def make_cert(q, ptxt, stxt, ntxt="1", eps=None):
+def make_cert(q, ptxt, stxt):
+    """The certificate with y = t, n_poly = 1 and the first admissible eps."""
     y = parse_poly("t", q)
     D = QuaternionData(ram1=parse_poly(ptxt, q), ram2=parse_poly(stxt, q))
-    n_poly = parse_poly(ntxt, q)
-    if eps is None:
-        eps = admissible_eps_set(n_poly)[0]
-    return hasse_certificate(D, y, n_poly, eps)
+    one = Poly.one(q)
+    return hasse_certificate(D, y, one, admissible_eps_set(one)[0])
 
 
 def test_admissible_eps_set():
@@ -59,14 +59,35 @@ def test_round_trip_verifies():
     assert code == 0 and failures == []
 
 
+# (q, ram1, ram2, largest deg n_poly, verdict of the family)
+FAMILIES = [(3, "t^3+t^2+t+2", "t+1", 3, "VALID"),
+            (3, "t^3+t^2+2", "t+1", 3, "INVALID"),
+            (5, "t^3+t^2+4t+1", "t+2", 2, "VALID")]
+
+
 def test_verdict_independent_of_n_poly_hypotheses():
-    # hypotheses 3 and 4 depend only on (D, y); changing n must not
-    # change the criterion section verdicts
-    base = make_cert(3, "t^3+t^2+t+2", "t+1")
-    other = make_cert(3, "t^3+t^2+t+2", "t+1", ntxt="t^2+1")
-    for key in ("ram1_excluded", "ram2_excluded", "mu_obstruction"):
-        assert base.data["criterion"][key] == other.data["criterion"][key]
-    assert other.valid
+    # every admissible (n_poly, eps) gives the criterion section, local
+    # section, reasons and verdict of n_poly = 1: y, ram1 and ram2 ramify
+    # in K and infinity never splits (see hasse_certificate)
+    for q, ptxt, stxt, max_deg, verdict in FAMILIES:
+        base = make_cert(q, ptxt, stxt).data
+        assert base["verdict"] == verdict
+        y = parse_poly("t", q)
+        D = QuaternionData(ram1=parse_poly(ptxt, q), ram2=parse_poly(stxt, q))
+        ramified = y * D.ram1 * D.ram2
+        for n_poly in polys_of_degree_at_most(q, max_deg):
+            if (not n_poly.is_monic or not is_squarefree(n_poly)
+                    or poly_gcd(n_poly, ramified).degree > 0):
+                continue
+            for eps in admissible_eps_set(n_poly):
+                data = hasse_certificate(D, y, n_poly, eps).data
+                for key in ("criterion", "local", "reasons", "verdict"):
+                    assert data[key] == base[key], (q, ptxt, n_poly, eps, key)
+                assert data["criterion"]["field_splits"]
+                assert data["criterion"]["y_ramified"]
+                assert data["local"]["infinity_ok"]
+                code, _ = verify_certificate(json.loads(canonical_json(data)))
+                assert code == (0 if verdict == "VALID" else 1)
 
 
 def test_invalid_triple_yields_invalid_certificate():
@@ -230,7 +251,8 @@ def test_schema_errors():
                         (("local", "witnesses", 0, "a"), "t^" + "9" * 5000),
                         (("local", "witnesses", 0, "a"), "t^1000000000"),
                         (("y",), "t^" + "9" * 5000),
-                        (("y",), "t^1000000000")):
+                        (("y",), "t^1000000000"),
+                        (("field_order",), 2 ** 61 - 1)):
         d = copy.deepcopy(data)
         _at(d, path[:-1])[path[-1]] = value
         with pytest.raises(SchemaError):

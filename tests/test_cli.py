@@ -104,6 +104,7 @@ def test_invalid_inputs_exit_2(capsys):
         code, _, err = run(["certify", "--field-order", "3", "--ram1", ram1,
                             "--ram2", "t+1", "--y", "t"], capsys)
         assert code == 2 and "out of range" in err
+        assert len(err) < 200  # the argument is quoted as a short excerpt
 
 
 def test_search_small_contains_known_triple(capsys):
@@ -136,3 +137,18 @@ def test_local_rejects_field_that_does_not_split(capsys):
     code, _, err = run(["local", "--field-order", "3", "--ram1", "t^3+t^2+t+2",
                         "--ram2", "t+1", "--radicand", "t+2"], capsys)
     assert code == 2 and "does not split" in err
+
+
+def test_local_split_infinity_fails(capsys):
+    # ram1 * ram2 = t^4+2t^3+2t^2+2 has even degree and leading coefficient
+    # 1, so infinity splits in K: the local rule at infinity fails there,
+    # although K splits D and both ramified primes have odd degree
+    base = ["local", "--field-order", "3", "--ram1", "t^3+t^2+t+2",
+            "--ram2", "t+1", "--radicand", "t^4+2t^3+2t^2+2"]
+    code, out, _ = run(base, capsys)
+    assert code == 1
+    assert "infinity        FAIL" in out.splitlines()
+    code, out, _ = run(base + ["--json"], capsys)
+    assert code == 1
+    data = json.loads(out)
+    assert data["infinity_ok"] is False and data["ok"] is False

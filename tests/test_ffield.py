@@ -9,7 +9,7 @@ def test_validate_field_order_accepts_odd_primes():
         ffield.validate_field_order(q)
 
 
-@pytest.mark.parametrize("q", [0, 1, 2, 4, 6, 9, 15, -3])
+@pytest.mark.parametrize("q", [0, 1, 2, 4, 6, 9, 15, -3, 2 ** 61 - 1])
 def test_validate_field_order_rejects(q):
     with pytest.raises(InvalidInput):
         ffield.validate_field_order(q)

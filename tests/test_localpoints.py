@@ -6,9 +6,8 @@ from dscurves.errors import InvalidInput
 from dscurves.fpoly import (Poly, monic_irreducibles, parse_poly,
                             polys_of_degree_at_most, residue_symbol)
 from dscurves.localpoints import (LocalWitness, fast_m_bound, lambda_cutoff,
-                                  lambda_set, local_all, local_infinity,
-                                  local_ramified_prime, witness_ok,
-                                  witness_search)
+                                  lambda_set, local_all, mu_witness_ok,
+                                  witness_ok, witness_search)
 from dscurves.splitting import QuadraticField, QuaternionData
 
 
@@ -56,35 +55,20 @@ def test_witness_search_rejects_ramified_prime():
         witness_search(D, D.ram1)
 
 
-def test_local_infinity_parity():
-    q = 3
-    D_oddodd = table_D(q, "t^3+t^2+t+2", "t+1")
-    K = table_K(q, D_oddodd)
-    assert local_infinity(D_oddodd, K)
-    # an even-degree ramified prime with split infinity fails
-    D_mixed = table_D(q, "t^2+1", "t+1")
-    K_split = QuadraticField(eps=1, radical=parse_poly("t^2+t+2", q)
-                             * parse_poly("t^2+2t+2", q))
-    from dscurves.splitting import SplitType, infinity_behavior
-    assert infinity_behavior(K_split) == SplitType.SPLIT
-    assert not local_infinity(D_mixed, K_split)
-
-
 def test_local_ramified_prime_table_case():
     q = 3
     D = table_D(q, "t^3+t^2+t+2", "t+1")
-    K = table_K(q, D)
-    ok1, mu1 = local_ramified_prime(D, K, "ram1")
-    ok2, mu2 = local_ramified_prime(D, K, "ram2")
-    assert ok1 and ok2
-    assert mu1 is not None and mu2 is not None  # both primes ramify in K
+    report = local_all(D, table_K(q, D))
+    assert report.ram1_ok and report.ram2_ok
+    # both primes ramify in K, so both need a mu-witness
+    assert report.ram1_mu is not None and report.ram2_mu is not None
 
 
 def test_local_ramified_prime_bad_which():
     q = 3
     D = table_D(q, "t^3+t^2+t+2", "t+1")
     with pytest.raises(InvalidInput):
-        local_ramified_prime(D, table_K(q, D), "ram3")
+        mu_witness_ok(D, "ram3", 1)
 
 
 def test_lambda_cutoff_and_set():

@@ -2,7 +2,7 @@ import json
 
 from dscurves import cli, search
 from dscurves.fpoly import parse_poly
-from dscurves.localpoints import local_ramified_prime, mu_witness_ok, ramified_mu
+from dscurves.localpoints import local_all, mu_witness_ok, ramified_mu
 from dscurves.splitting import QuadraticField, QuaternionData
 
 WINDOW = ["--field-order", "3", "--max-deg1", "3", "--max-deg2", "1"]
@@ -30,10 +30,11 @@ def test_ramified_mu_is_the_local_rule():
     assert pairs
     for p, s in pairs:
         D = QuaternionData(ram1=p, ram2=s)
-        K = QuadraticField(eps=1, radical=y * p * s)
+        report = local_all(D, QuadraticField(eps=1, radical=y * p * s))
         for which in ("ram1", "ram2"):
             mu = ramified_mu(D, which)
-            assert local_ramified_prime(D, K, which) == (mu is not None, mu)
+            assert (getattr(report, which + "_ok"),
+                    getattr(report, which + "_mu")) == (mu is not None, mu)
             # the rule depends on mu only through its square class
             assert (mu is not None) == any(mu_witness_ok(D, which, m)
                                            for m in range(1, q))
