@@ -19,7 +19,7 @@ from .fpoly import (format_poly, is_irreducible, is_squarefree, parse_poly,
                     poly_gcd)
 from .localpoints import LocalReport, LocalWitness, local_all
 from .splitting import QuadraticField, QuaternionData, nonexistence_criterion
-from .weil import exponent_n
+from .weil import check_norm_degree, exponent_n
 
 SCHEMA_VERSION = 1
 
@@ -180,13 +180,15 @@ def _read_local(local, q):
 
 def _read_inputs(data):
     """(D, y, n_poly, K, recorded local report), read strictly: every
-    polynomial a JSON string, every integer a JSON integer, and the
-    preconditions of `hasse_certificate` met."""
+    polynomial a JSON string, every integer a JSON integer, the norms of
+    dset(y) small enough to compute, and the preconditions of
+    `hasse_certificate` met."""
     try:
         q = _json(data["field_order"], int, "field_order")
         ffield.validate_field_order(q)
         y, ram1, ram2, n_poly = (_json_poly(data[key], q, key)
                                  for key in ("y", "ram1", "ram2", "n_poly"))
+        check_norm_degree(y)
         D = QuaternionData(ram1=ram1, ram2=ram2)
         K = _quadratic_field(D, y, n_poly, _json(data["eps"], int, "eps"))
         recorded = _read_local(data["local"], q)

@@ -10,6 +10,7 @@ Exit codes: 0 verified/valid, 1 checked-and-false, 2 invalid input,
 
 import argparse
 import json
+import re
 import sys
 
 from . import ffield
@@ -28,6 +29,20 @@ EXIT_INVALID = 2
 EXIT_SCHEMA = 3
 
 
+# argparse quotes a bad value whole in its own errors: a quoted value or a
+# word this long is shown as an excerpt instead
+_LONG_VALUE = re.compile(r"'[^']{30,}'|\S{30,}")
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors quote input as `excerpt` does.
+    Subcommand parsers inherit the class, so every usage error passes here."""
+
+    def error(self, message):
+        super().error(_LONG_VALUE.sub(lambda m: excerpt(m.group().strip("'")),
+                                      message))
+
+
 def _add_common(sub):
     sub.add_argument("--field-order", type=int, required=True, metavar="Q",
                      help="the odd prime q")
@@ -35,7 +50,7 @@ def _add_common(sub):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="dscurves",
         description="Exact-arithmetic search and certification of Hasse-principle "
                     "violations for quaternionic curves over F_q(t).")

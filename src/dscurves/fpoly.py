@@ -1,9 +1,10 @@
 """Univariate polynomial arithmetic over F_q: the ring A = F_q[t].
 
 Polynomials are immutable dense coefficient tuples (index i = coefficient of
-t^i).  The zero polynomial is the empty tuple and reports degree -1.  Large
-products go through numpy integer convolution; small ones use schoolbook
-multiplication to avoid array overhead.
+t^i).  The zero polynomial is the empty tuple and reports degree -1.
+Products are exact at every field order: a product with a short factor
+runs schoolbook on Python ints, and any other is one Kronecker-substituted
+big-int product (see `_mul_coeffs`).
 
 Beyond ring arithmetic this module provides modular exponentiation, Rabin
 irreducibility, enumeration of monic irreducibles, seeded Cantor-Zassenhaus
@@ -15,15 +16,17 @@ import itertools
 import random
 import re
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-
-import numpy as np
+from functools import lru_cache
 
 from . import ffield
 from .errors import FieldMismatch, InvalidInput, ParseError, excerpt
 
-# crossover below which schoolbook multiplication beats numpy convolve
-_SMALL_MUL = 1024
+# a product whose shorter factor has at most this many coefficients runs
+# schoolbook; above it one Kronecker product is faster.  Measured with
+# CPython 3.11 on one core of a 2-vCPU machine, at q = 3, 7 and 3037000493:
+# square products break even at 10-14 coefficients, and a short factor
+# times one of 4600 coefficients at 4-8
+_SCHOOLBOOK_MAX = 8
 
 
 class Poly:
@@ -206,20 +209,32 @@ class Poly:
 
 
 def _mul_coeffs(a, b, q):
+    """Coefficients of the product of two canonical coefficient tuples.
+
+    The Kronecker branch (von zur Gathen & Gerhard, Modern Computer Algebra,
+    8.4) packs each tuple into one int, coefficient i in the k-byte slot i,
+    multiplies once and reads slot i back mod q.  Slot i of the product holds
+    the exact sum of at most min(len a, len b) products c * d with
+    0 <= c, d < q, so it is at most min(len) * (q-1)^2 < 2^(8k): no carry
+    crosses a slot, at any q."""
     if not a or not b:
         return ()
-    # np.convolve sums up to min(len) products below q^2 in int64; when that
-    # could overflow, the exact Python-int schoolbook product runs instead
-    if (len(a) * len(b) <= _SMALL_MUL
-            or (q - 1) ** 2 * min(len(a), len(b)) >= 2 ** 63):
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) <= _SCHOOLBOOK_MAX:
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
         return tuple(c % q for c in out)
-    conv = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)) % q
-    return tuple(int(c) for c in conv)
+    k = (len(a) * (q - 1) ** 2).bit_length() // 8 + 1
+    packed_a = int.from_bytes(b"".join([c.to_bytes(k, "little") for c in a]), "little")
+    packed_b = int.from_bytes(b"".join([c.to_bytes(k, "little") for c in b]), "little")
+    size = (len(a) + len(b) - 1) * k
+    slots = (packed_a * packed_b).to_bytes(size, "little")
+    return tuple([int.from_bytes(slots[i:i + k], "little") % q
+                  for i in range(0, size, k)])
 
 
 def poly_gcd(f, g):

@@ -156,10 +156,30 @@ class NormEntry:
         return self.value.is_zero
 
 
+# largest norm degree 2n * deg y that dset computes.  Measured exact norms
+# on CPython 3.11, one core of a 2-vCPU machine: q = 7, y = t (degree 4608,
+# the largest in the paper's table) takes 1.9 s, and q = 7, y = t^2+1
+# (9216) 21 s; q = 11, y = t (28800) takes 40 s, and q = 101 would reach
+# degree 2.08e8.  It bounds the cost of each norm, not their number, which
+# is at most (q - 1) * q^(deg y // 2 + 1)
+_MAX_NORM_DEGREE = 10 ** 4
+
+
+def check_norm_degree(y):
+    """InvalidInput unless the norms of dset(y), of degree at most 2n * deg y
+    with n = (q^2 - 1)^2, are small enough to compute exactly.  It reads
+    degrees only, so it answers at once at any q."""
+    degree = 2 * exponent_n(y.q, 2) * y.degree
+    if degree > _MAX_NORM_DEGREE:
+        raise InvalidInput("norm degree 2n * deg y = %d exceeds %d at q = %d"
+                           % (degree, _MAX_NORM_DEGREE, y.q))
+
+
 @lru_cache(maxsize=None)
 def dset(y):
     """One NormEntry per admissible quadratic; all-zero iff the excluded-prime
     set is empty."""
+    check_norm_degree(y)
     entries = []
     for w in enumerate_weil(y):
         entries.append(NormEntry(source=w, value=norm(frobenius_test_element(w))))

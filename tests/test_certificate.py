@@ -252,11 +252,19 @@ def test_schema_errors():
                         (("local", "witnesses", 0, "a"), "t^1000000000"),
                         (("y",), "t^" + "9" * 5000),
                         (("y",), "t^1000000000"),
-                        (("field_order",), 2 ** 61 - 1)):
+                        (("field_order",), 2 ** 61 - 1),
+                        (("field_order",), 101)):
         d = copy.deepcopy(data)
         _at(d, path[:-1])[path[-1]] = value
         with pytest.raises(SchemaError):
             verify_certificate(d)
+
+    # every precondition holds at q = 101 with ram1 t+1 and ram2 t+2, but
+    # the norms of dset(t) there have degree 2.08e8
+    d = copy.deepcopy(data)
+    d.update(field_order=101, ram1="t+1", ram2="t+2", y="t", n_poly="1", eps=1)
+    with pytest.raises(SchemaError, match="norm degree"):
+        verify_certificate(d)
 
 
 def _at(data, path):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +109,27 @@ def test_invalid_inputs_exit_2(capsys):
                             "--ram2", "t+1", "--y", "t"], capsys)
         assert code == 2 and "out of range" in err
         assert len(err) < 200  # the argument is quoted as a short excerpt
+    # the norms at q = 101 have degree 2.08e8: refused before any product
+    code, _, err = run(["pcheck", "--field-order", "101", "--y", "t",
+                        "--p", "t+1"], capsys)
+    assert code == 2 and "norm degree" in err
+    # argparse's own errors quote a long value as a short excerpt too
+    long = "x" * 5000
+    for argv, option in ((["wset", "--field-order", long, "--y", "t"], "--field-order"),
+                         (["wset", "--field-order", "3", "--y", "t", "--" + long], "--xxx")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and option in err and len(err) < 200
+
+
+def test_cli_import_loads_no_numpy():
+    # the package has no runtime dependency; a cold CLI import pays for none
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, dscurves.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_search_small_contains_known_triple(capsys):

@@ -62,21 +62,26 @@ def test_mul_matches_sympy_random():
 
 
 def test_large_mul_matches_schoolbook():
-    # crosses the convolution threshold; at q = 3037000493, which
-    # validate_field_order accepts, (q-1)^2 alone is near 2^63, so an int64
-    # convolution would overflow
+    # the in-test schoolbook oracle against both sides of the crossover, a
+    # thin factor times a long one, squares, and a long product; at
+    # q = 3037000493 (q-1)^2 alone is near 2^63, and 1099511627689 is the
+    # largest prime validate_field_order accepts
     rng = random.Random(3)
-    for q, terms in ((7, 1500), (3037000493, 200)):
-        f = Poly(q, tuple(rng.randrange(q) for _ in range(terms)))
-        g = Poly(q, tuple(rng.randrange(q) for _ in range(terms)))
+    cut = fpoly._SCHOOLBOOK_MAX
+    sizes = ((cut, cut), (cut + 1, cut + 1), (cut, 60), (cut + 1, 60),
+             (2, 4600), (200, 200), (300, None))
+    cases = [(q, n, m) for q in (3, 7, 3037000493, 1099511627689)
+             for n, m in sizes] + [(7, 1500, 1500)]
+    for q, n, m in cases:
+        f = Poly(q, [rng.randrange(q) for _ in range(n - 1)] + [rng.randrange(1, q)])
+        g = f if m is None else Poly(
+            q, [rng.randrange(q) for _ in range(m - 1)] + [rng.randrange(1, q)])
         out = [0] * (len(f.coeffs) + len(g.coeffs) - 1)
         for i, ai in enumerate(f.coeffs):
             for j, bj in enumerate(g.coeffs):
                 out[i + j] += ai * bj
         slow = tuple(c % q for c in out)
-        while slow and slow[-1] == 0:
-            slow = slow[:-1]
-        assert (f * g).coeffs == slow
+        assert (f * g).coeffs == slow == (g * f).coeffs, (q, n, m)
 
 
 def test_divmod_invariant_random():
