@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 from . import ffield
 from .errors import InvalidInput, ParseError, excerpt
-from .fpoly import (format_poly, is_irreducible, is_squarefree, parse_poly,
-                    poly_gcd)
-from .localpoints import LocalReport, LocalWitness, local_all
+from .fpoly import (format_poly, is_squarefree, parse_poly, poly_gcd,
+                    require_monic_irreducible)
+from .localpoints import LocalReport, LocalWitness, check_pair_count, local_all
 from .splitting import QuadraticField, QuaternionData, nonexistence_criterion
 from .weil import check_norm_degree, exponent_n
 
@@ -43,8 +43,7 @@ def _quadratic_field(D, y, n_poly, eps):
     """K = F(sqrt(eps * y * ram1 * ram2 * n_poly)), once the inputs meet the
     preconditions of a certificate; InvalidInput otherwise."""
     q = D.q
-    if not y.is_monic or not is_irreducible(y):
-        raise InvalidInput("y must be a monic irreducible")
+    require_monic_irreducible(y, "y")
     if y in (D.ram1, D.ram2):
         raise InvalidInput("y must avoid the ramified primes")
     if n_poly.is_zero or not n_poly.is_monic:
@@ -181,14 +180,16 @@ def _read_local(local, q):
 def _read_inputs(data):
     """(D, y, n_poly, K, recorded local report), read strictly: every
     polynomial a JSON string, every integer a JSON integer, the norms of
-    dset(y) small enough to compute, and the preconditions of
-    `hasse_certificate` met."""
+    dset(y) and the residue pairs of (ram1, ram2) few enough to compute,
+    both bounds read from degrees before any irreducibility test, and the
+    preconditions of `hasse_certificate` met."""
     try:
         q = _json(data["field_order"], int, "field_order")
         ffield.validate_field_order(q)
         y, ram1, ram2, n_poly = (_json_poly(data[key], q, key)
                                  for key in ("y", "ram1", "ram2", "n_poly"))
         check_norm_degree(y)
+        check_pair_count(ram1, ram2)
         D = QuaternionData(ram1=ram1, ram2=ram2)
         K = _quadratic_field(D, y, n_poly, _json(data["eps"], int, "eps"))
         recorded = _read_local(data["local"], q)

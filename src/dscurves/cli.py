@@ -17,7 +17,7 @@ from . import ffield
 from .certificate import (VALID, SchemaError, canonical_json,
                           hasse_certificate, verify_certificate)
 from .errors import InvalidInput, ParseError, excerpt
-from .fpoly import format_poly, is_irreducible, parse_poly
+from .fpoly import format_poly, parse_poly, require_monic_irreducible
 from .localpoints import local_all
 from .search import search
 from .splitting import QuadraticField, QuaternionData, nonexistence_criterion
@@ -117,8 +117,7 @@ def _parse(text, q, what):
 
 def _irreducible_arg(text, q, what):
     f = _parse(text, q, what)
-    if not f.is_monic or f.degree < 1 or not is_irreducible(f):
-        raise InvalidInput("%s must be a monic irreducible, got %s" % (what, excerpt(text)))
+    require_monic_irreducible(f, what)
     return f
 
 

@@ -6,13 +6,15 @@ Products are exact at every field order: a product with a short factor
 runs schoolbook on Python ints, and any other is one Kronecker-substituted
 big-int product (see `_mul_coeffs`).
 
-Beyond ring arithmetic this module provides modular exponentiation, Rabin
-irreducibility, enumeration of monic irreducibles, seeded Cantor-Zassenhaus
-factorization, the quadratic residue symbol, valuations, and the text
-grammar shared with the CLI.
+Beyond ring arithmetic this module provides one square-and-multiply loop
+for every power, Ben-Or's irreducibility test (the first step of
+distinct-degree factorization), enumeration of monic irreducibles, seeded
+Cantor-Zassenhaus factorization, the quadratic residue symbol, valuations,
+and the text grammar shared with the CLI.
 """
 
 import itertools
+import operator
 import random
 import re
 from dataclasses import dataclass
@@ -146,17 +148,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            raise InvalidInput("polynomial power needs a non-negative integer")
-        result = Poly.one(self.q)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return power(self, e, operator.mul, Poly.one(self.q))
 
     def __divmod__(self, other):
         self._check(other)
@@ -195,14 +187,6 @@ class Poly:
         q = self.q
         cs = tuple((i * c) % q for i, c in enumerate(self.coeffs[1:], start=1))
         return Poly(q, cs)
-
-    def evaluate(self, x):
-        """Value at a scalar x, by Horner."""
-        q = self.q
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % q
-        return acc
 
     def __repr__(self):
         return "Poly(q=%d, %s)" % (self.q, format_poly(self))
@@ -244,55 +228,45 @@ def poly_gcd(f, g):
     return f.monic()
 
 
-def powmod(f, e, m):
-    """f^e mod m by square-and-multiply; requires deg m >= 1."""
-    if m.degree < 1:
-        raise InvalidInput("powmod modulus must have degree >= 1")
-    if e < 0:
-        raise InvalidInput("powmod exponent must be non-negative")
-    result = Poly.one(f.q) % m
-    base = f % m
+def power(x, e, mul, one):
+    """x^e by square-and-multiply, for any product mul with identity one:
+    the one power loop behind `Poly.__pow__`, `powmod` and `weil.ext_pow`."""
+    if not isinstance(e, int) or e < 0:
+        raise InvalidInput("a power needs a non-negative integer exponent, got "
+                           + excerpt(e))
+    result = one
     while e:
         if e & 1:
-            result = (result * base) % m
+            result = mul(result, x)
         e >>= 1
         if e:
-            base = (base * base) % m
+            x = mul(x, x)
     return result
 
 
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+def powmod(f, e, m):
+    """f^e mod m; requires deg m >= 1."""
+    if m.degree < 1:
+        raise InvalidInput("powmod modulus must have degree >= 1")
+    return power(f % m, e, lambda a, b: (a * b) % m, Poly.one(f.q) % m)
 
 
 def is_irreducible(f):
-    """Rabin's criterion via iterated Frobenius powers of t."""
+    """Ben-Or's test (von zur Gathen & Gerhard, Modern Computer Algebra,
+    14.2): a reducible f of degree n has an irreducible factor of some degree
+    d <= n/2, which divides t^(q^d) - t, so distinct-degree factorization
+    yields it first; an irreducible f comes out whole, as (f, n)."""
     if f.degree < 1:
         raise InvalidInput("irreducibility is undefined for constants")
-    f = f.monic()
-    n, q = f.degree, f.q
-    if n == 1:
-        return True
-    if f.coeffs[0] == 0:  # t divides f
-        return False
-    x = Poly.t(q)
-    checkpoints = {n // r for r in _prime_divisors(n)}
-    h = x % f
-    for i in range(1, n + 1):
-        h = powmod(h, q, f)
-        if i in checkpoints and poly_gcd(h - x, f).degree != 0:
-            return False
-    return h == x % f
+    return next(_distinct_degree(f.monic()))[1] == f.degree
+
+
+def require_monic_irreducible(f, name):
+    """InvalidInput naming the argument, with an excerpt of f, unless f is a
+    monic irreducible: the one statement of that precondition."""
+    if not f.is_monic or f.degree < 1 or not is_irreducible(f):
+        raise InvalidInput("%s must be a monic irreducible, got %s"
+                           % (name, excerpt(format_poly(f))))
 
 
 @lru_cache(maxsize=None)
@@ -362,7 +336,9 @@ def _squarefree_parts(f):
 
 
 def _distinct_degree(f):
-    """Split a monic squarefree f into (product of degree-d irreducibles, d)."""
+    """Split a monic squarefree f into (product of degree-d irreducibles, d),
+    d ascending.  For any monic f the first pair is (f, deg f) iff f is
+    irreducible: `is_irreducible` reads only that pair."""
     q = f.q
     x = Poly.t(q)
     h = x % f
@@ -572,6 +548,20 @@ def format_poly(f):
             head = "" if c == 1 else str(c)
             terms.append(head + ("t" if i == 1 else "t^%d" % i))
     return "+".join(terms)
+
+
+def _prime_divisors(n):
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def gauss_irreducible_count(q, n):

@@ -18,7 +18,7 @@ from .fpoly import (Poly, format_poly, monic_irreducibles,
                     polys_of_degree_at_most, residue_symbol, square_residues,
                     valuation)
 from .splitting import (QuadraticField, SplitType, field_splits_quaternion,
-                        infinity_behavior, place_behavior)
+                        place_behavior)
 from .weil import nonsquare_at_infinity
 
 
@@ -67,7 +67,7 @@ def mu_witness_ok(D, which, mu):
         return False
     aux = QuadraticField(eps=mu, radical=r)
     return (place_behavior(s, aux) != SplitType.SPLIT
-            and infinity_behavior(aux) != SplitType.SPLIT)
+            and nonsquare_at_infinity(aux.radicand))
 
 
 def ramified_mu(D, which):
@@ -128,6 +128,26 @@ def witness_search(D, l):
             if _nonsplit_disc(D, a * a - cl4):
                 return LocalWitness(l=l, a=a, c=c)
     return None
+
+
+# largest q^(deg ram1 + deg ram2) that verify accepts: about the number of
+# residue pairs fast_m_bound loops over, and of the squares it tabulates.
+# Measured fast_m_bound on CPython 3.11, one core of a 2-vCPU machine, at
+# 3-6e-5 s per pair: 3^10 (t^9+t^7+2t^6+1, t+1) takes 3.5 s and 5^7 2.9 s;
+# 7^6 (4.0-4.5 s) and 3^11 (7.5-10 s) are refused
+_MAX_RESIDUE_PAIRS = 10 ** 5
+
+
+def check_pair_count(ram1, ram2):
+    """InvalidInput unless q^(deg ram1 + deg ram2) is at most
+    _MAX_RESIDUE_PAIRS.  It reads degrees only, so it answers at once, even
+    before the primes are known to be irreducible."""
+    k = max(ram1.degree + ram2.degree, 0)
+    # q^k >= 2^k: a k this large fails without computing the power
+    if k >= _MAX_RESIDUE_PAIRS.bit_length() or ram1.q ** k > _MAX_RESIDUE_PAIRS:
+        raise InvalidInput("q^(deg ram1 + deg ram2) exceeds %d at q = %d, "
+                           "degrees %d and %d" % (_MAX_RESIDUE_PAIRS, ram1.q,
+                                                  ram1.degree, ram2.degree))
 
 
 @lru_cache(maxsize=None)
@@ -225,7 +245,7 @@ def local_all(D, K, recorded=None):
     """
     if not field_splits_quaternion(K, D):
         raise InvalidInput("K does not split the quaternion algebra")
-    infinity_ok = infinity_behavior(K) != SplitType.SPLIT
+    infinity_ok = nonsquare_at_infinity(K.radicand)
     ram1_ok, ram1_mu = _local_ramified_prime(D, K, "ram1", recorded)
     ram2_ok, ram2_mu = _local_ramified_prime(D, K, "ram2", recorded)
     m = fast_m_bound(D)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from . import ffield
 from .errors import InvalidInput
-from .fpoly import (Poly, format_poly, is_irreducible, is_squarefree,
+from .fpoly import (Poly, format_poly, is_squarefree, require_monic_irreducible,
                     residue_symbol)
 from .weil import p_excluded
 
@@ -63,10 +63,8 @@ class QuaternionData:
     def __post_init__(self):
         if self.ram1 == self.ram2:
             raise InvalidInput("ramified primes must be distinct")
-        for name, p in (("ram1", self.ram1), ("ram2", self.ram2)):
-            if not p.is_monic or not is_irreducible(p):
-                raise InvalidInput("%s must be a monic irreducible, got %s"
-                                   % (name, format_poly(p)))
+        require_monic_irreducible(self.ram1, "ram1")
+        require_monic_irreducible(self.ram2, "ram2")
 
     @property
     def q(self):
@@ -79,15 +77,6 @@ def place_behavior(l, K):
     if (K.radical % l).is_zero:
         return SplitType.RAMIFIED
     return SplitType.SPLIT if residue_symbol(K.radicand, l) == 1 else SplitType.INERT
-
-
-def infinity_behavior(K):
-    """Behavior of the place at infinity: governed by the degree parity and
-    leading coefficient of the radicand (odd q)."""
-    d = K.radicand
-    if d.degree % 2 == 1:
-        return SplitType.RAMIFIED
-    return SplitType.SPLIT if ffield.is_square(d.leading_coeff, d.q) else SplitType.INERT
 
 
 def field_splits_quaternion(K, D):
@@ -156,8 +145,7 @@ def nonexistence_criterion(D, y, K):
     Returns a CriterionReport; failures list the hypotheses that do not hold,
     in their stated order.
     """
-    if not y.is_monic or not is_irreducible(y):
-        raise InvalidInput("y must be a monic irreducible")
+    require_monic_irreducible(y, "y")
     if y in (D.ram1, D.ram2):
         raise InvalidInput("y must avoid the ramified primes")
     if K.q != D.q or y.q != D.q:

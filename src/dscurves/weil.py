@@ -14,7 +14,8 @@ from math import gcd, lcm
 
 from . import ffield
 from .errors import InvalidInput, ModulusMismatch
-from .fpoly import Poly, format_poly, is_irreducible, polys_of_degree_at_most, factor
+from .fpoly import (Poly, factor, format_poly, polys_of_degree_at_most, power,
+                    require_monic_irreducible)
 
 
 def lq(q, d):
@@ -37,17 +38,14 @@ def exponent_n(q, d):
 
 def nonsquare_at_infinity(f):
     """True iff f is a non-square in F_q((1/t)): odd degree, or even degree
-    with a non-square leading coefficient (odd q)."""
+    with a non-square leading coefficient (odd q).  This is the one rule
+    for infinity: it does not split in F(sqrt(f)) iff this holds (ramified
+    for odd degree, inert otherwise)."""
     if f.is_zero:
         return False
     if f.degree % 2 == 1:
         return True
     return not ffield.is_square(f.leading_coeff, f.q)
-
-
-def _require_monic_irreducible(p, name):
-    if not p.is_monic or not is_irreducible(p):
-        raise InvalidInput("%s must be a monic irreducible, got %s" % (name, format_poly(p)))
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,7 @@ def enumerate_weil(y):
     Conjugate roots share a minimal polynomial, so each entry stands for a
     conjugate pair of Weil numbers.
     """
-    _require_monic_irreducible(y, "y")
+    require_monic_irreducible(y, "y")
     q = y.q
     out = []
     for a1 in polys_of_degree_at_most(q, y.degree // 2):
@@ -113,20 +111,10 @@ def ext_mul(x, z):
 
 
 def ext_pow(x, e):
-    """x^e by square-and-multiply."""
-    if e < 0:
-        raise InvalidInput("negative extension power")
-    w = x.modulus
-    q = w.q
-    result = QuadExtElem(u=Poly.one(q), v=Poly.zero(q), modulus=w)
-    base = x
-    while e:
-        if e & 1:
-            result = ext_mul(result, base)
-        e >>= 1
-        if e:
-            base = ext_mul(base, base)
-    return result
+    """x^e in A[pi]."""
+    q = x.modulus.q
+    return power(x, e, ext_mul,
+                 QuadExtElem(u=Poly.one(q), v=Poly.zero(q), modulus=x.modulus))
 
 
 def norm(x):
@@ -156,23 +144,27 @@ class NormEntry:
         return self.value.is_zero
 
 
-# largest norm degree 2n * deg y that dset computes.  Measured exact norms
-# on CPython 3.11, one core of a 2-vCPU machine: q = 7, y = t (degree 4608,
-# the largest in the paper's table) takes 1.9 s, and q = 7, y = t^2+1
-# (9216) 21 s; q = 11, y = t (28800) takes 40 s, and q = 101 would reach
-# degree 2.08e8.  It bounds the cost of each norm, not their number, which
-# is at most (q - 1) * q^(deg y // 2 + 1)
-_MAX_NORM_DEGREE = 10 ** 4
+# largest total norm degree of dset(y): the number of norms times the
+# degree of each.  Measured whole dset on CPython 3.11, one core of a 2-vCPU
+# machine, at about 1e-5 s per unit: q = 7, y = t (42 * 4608 = 193536, the
+# largest in the paper's table) takes 1.9 s, q = 5, y = t^2+2
+# (100 * 2304 = 230400) 1.8 s and q = 3, y = t^6+t+2 (124416) 0.9 s.
+# Refused: q = 7, y = t^2+1 (2.7e6, 21 s), q = 11, y = t (3.2e6, 40 s) and
+# a degree-16 y at q = 3 (8.1e7)
+_MAX_NORM_TOTAL = 250000
 
 
 def check_norm_degree(y):
-    """InvalidInput unless the norms of dset(y), of degree at most 2n * deg y
-    with n = (q^2 - 1)^2, are small enough to compute exactly.  It reads
-    degrees only, so it answers at once at any q."""
-    degree = 2 * exponent_n(y.q, 2) * y.degree
-    if degree > _MAX_NORM_DEGREE:
-        raise InvalidInput("norm degree 2n * deg y = %d exceeds %d at q = %d"
-                           % (degree, _MAX_NORM_DEGREE, y.q))
+    """InvalidInput unless the norms of dset(y) are few and small enough to
+    compute exactly: at most (q - 1) * q^(deg y // 2 + 1) of them, one per
+    (a1, mu), each of degree at most 2n * deg y with n = (q^2 - 1)^2.  It
+    reads degrees only, so it answers at once at any q."""
+    q, k = y.q, y.degree // 2 + 1
+    # q^k >= 2^k: a k this large fails without computing the power
+    if (k >= _MAX_NORM_TOTAL.bit_length() or (q - 1) * q ** k
+            * 2 * exponent_n(q, 2) * y.degree > _MAX_NORM_TOTAL):
+        raise InvalidInput("total norm degree of dset(y) exceeds %d at q = %d, "
+                           "deg y = %d" % (_MAX_NORM_TOTAL, q, y.degree))
 
 
 @lru_cache(maxsize=None)
@@ -189,7 +181,7 @@ def dset(y):
 def norm_statuses(p, y):
     """Lazily, (entry, status) for each NormEntry of dset(y): status is
     "zero norm", "divides" when p divides the nonzero norm, or "coprime"."""
-    _require_monic_irreducible(p, "p")
+    require_monic_irreducible(p, "p")
     if p == y:
         raise InvalidInput("p must differ from y")
     for entry in dset(y):

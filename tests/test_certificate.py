@@ -259,12 +259,20 @@ def test_schema_errors():
         with pytest.raises(SchemaError):
             verify_certificate(d)
 
-    # every precondition holds at q = 101 with ram1 t+1 and ram2 t+2, but
-    # the norms of dset(t) there have degree 2.08e8
-    d = copy.deepcopy(data)
-    d.update(field_order=101, ram1="t+1", ram2="t+2", y="t", n_poly="1", eps=1)
-    with pytest.raises(SchemaError, match="norm degree"):
-        verify_certificate(d)
+    # every precondition holds in the first two, but the work is refused
+    # from degrees alone, before any irreducibility test: the norms of
+    # dset(t) at q = 101 have degree 2.08e8, and the degree-16 y at q = 3
+    # has 39366 norms of degree 2048; ram1 of degree 3000 has 3^3001
+    # residue pairs
+    y16 = "t^16+2t^15+2t^14+2t^13+t^12+2t^10+2t^9+t^5+2t^4+2t^3+2t^2+1"
+    for update, reason in (
+            (dict(field_order=101, ram1="t+1", ram2="t+2", y="t"), "norm degree"),
+            (dict(ram1="t+1", ram2="t^2+1", y=y16), "norm degree"),
+            (dict(ram1="t^3000+t+2"), "deg ram1 \\+ deg ram2")):
+        d = copy.deepcopy(data)
+        d.update(update)
+        with pytest.raises(SchemaError, match=reason):
+            verify_certificate(d)
 
 
 def _at(data, path):

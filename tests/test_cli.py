@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from dscurves import cli
+from dscurves.fpoly import Poly, format_poly, parse_poly
 
 
 def run(argv, capsys):
@@ -64,8 +66,14 @@ def test_certify_verify_cycle(tmp_path, capsys):
     assert code == 0
     code, out, _ = run(["verify", str(path)], capsys)
     assert code == 0 and "VALID" in out
-    # tamper: flip a criterion flag
+    # a long reducible ram1 is a schema error with a short message
     data = json.loads(path.read_text())
+    rng = random.Random(1)
+    g = Poly(3, [rng.randrange(3) for _ in range(300)] + [1])
+    path.write_text(json.dumps(dict(data, ram1=format_poly(parse_poly("t+2", 3) * g))))
+    code, _, err = run(["verify", str(path)], capsys)
+    assert code == 3 and len(err) < 200
+    # tamper: flip a criterion flag
     data["criterion"]["ram1_excluded"] = False
     path.write_text(json.dumps(data))
     code, out, _ = run(["verify", str(path)], capsys)
@@ -109,10 +117,13 @@ def test_invalid_inputs_exit_2(capsys):
                             "--ram2", "t+1", "--y", "t"], capsys)
         assert code == 2 and "out of range" in err
         assert len(err) < 200  # the argument is quoted as a short excerpt
-    # the norms at q = 101 have degree 2.08e8: refused before any product
-    code, _, err = run(["pcheck", "--field-order", "101", "--y", "t",
-                        "--p", "t+1"], capsys)
-    assert code == 2 and "norm degree" in err
+    # the norms at q = 101 have degree 2.08e8, and a degree-16 y at q = 3
+    # has 39366 norms: both refused before any product
+    for q, y in (("101", "t"),
+                 ("3", "t^16+2t^15+2t^14+2t^13+t^12+2t^10+2t^9+t^5+2t^4+2t^3+2t^2+1")):
+        code, _, err = run(["pcheck", "--field-order", q, "--y", y,
+                            "--p", "t+1"], capsys)
+        assert code == 2 and "norm degree" in err
     # argparse's own errors quote a long value as a short excerpt too
     long = "x" * 5000
     for argv, option in ((["wset", "--field-order", long, "--y", "t"], "--field-order"),

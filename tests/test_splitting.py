@@ -3,9 +3,9 @@ import pytest
 from dscurves.errors import InvalidInput
 from dscurves.fpoly import parse_poly, residue_symbol
 from dscurves.splitting import (QuadraticField, QuaternionData, SplitType,
-                                field_splits_quaternion, infinity_behavior,
-                                mu_y_obstruction, nonexistence_criterion,
-                                place_behavior)
+                                field_splits_quaternion, mu_y_obstruction,
+                                nonexistence_criterion, place_behavior)
+from dscurves.weil import nonsquare_at_infinity
 
 
 def K_of(q, eps, radtxt):
@@ -29,6 +29,10 @@ def test_quaternion_data_validation():
         QuaternionData(ram1=p, ram2=p)
     with pytest.raises(InvalidInput):
         QuaternionData(ram1=p, ram2=parse_poly("t^2+2t+1", 3))
+    # a long reducible prime is quoted as a short excerpt
+    with pytest.raises(InvalidInput, match="ram1 must be a monic irreducible") as exc:
+        QuaternionData(ram1=p * parse_poly("t^300+t+2", 3), ram2=parse_poly("t", 3))
+    assert len(str(exc.value)) < 200
 
 
 def test_place_behavior_trichotomy():
@@ -62,11 +66,12 @@ def test_place_behavior_exhaustive_small():
 
 
 def test_infinity_behavior():
+    # infinity does not split in K iff the radicand is a non-square there
     q = 3
-    assert infinity_behavior(K_of(q, 1, "t")) == SplitType.RAMIFIED
+    assert nonsquare_at_infinity(K_of(q, 1, "t").radicand)  # ramified
     # even degree: leading coefficient of eps*radical decides
-    assert infinity_behavior(K_of(q, 1, "t^2+1")) == SplitType.SPLIT
-    assert infinity_behavior(K_of(q, 2, "t^2+1")) == SplitType.INERT
+    assert not nonsquare_at_infinity(K_of(q, 1, "t^2+1").radicand)  # split
+    assert nonsquare_at_infinity(K_of(q, 2, "t^2+1").radicand)  # inert
 
 
 def test_field_splits_quaternion_table_case():
