@@ -144,13 +144,13 @@ class NormEntry:
         return self.value.is_zero
 
 
-# largest total norm degree of dset(y): the number of norms times the
-# degree of each.  Measured whole dset on CPython 3.11, one core of a 2-vCPU
-# machine, at about 1e-5 s per unit: q = 7, y = t (42 * 4608 = 193536, the
-# largest in the paper's table) takes 1.9 s, q = 5, y = t^2+2
-# (100 * 2304 = 230400) 1.8 s and q = 3, y = t^6+t+2 (124416) 0.9 s.
-# Refused: q = 7, y = t^2+1 (2.7e6, 21 s), q = 11, y = t (3.2e6, 40 s) and
-# a degree-16 y at q = 3 (8.1e7)
+# largest total norm degree of dset(y): the number of entries times the
+# degree of each, although dset computes one norm per orbit.  Measured
+# whole dset on CPython 3.11, one core of a 2-vCPU machine: q = 7, y = t
+# (42 * 4608 = 193536, the largest in the paper's table) takes 0.23-0.34 s,
+# q = 5, y = t^2+2 (100 * 2304 = 230400) 0.33 s and q = 3, y = t^6+t+2
+# (124416) 0.32-0.40 s.  Refused: q = 7, y = t^2+1 (2.7e6, 3.1-3.5 s),
+# q = 11, y = t (3.2e6, 3.4 s) and a degree-16 y at q = 3 (8.1e7)
 _MAX_NORM_TOTAL = 250000
 
 
@@ -169,12 +169,40 @@ def check_norm_degree(y):
 
 @lru_cache(maxsize=None)
 def dset(y):
-    """One NormEntry per admissible quadratic; all-zero iff the excluded-prime
-    set is empty."""
+    """One NormEntry per admissible quadratic, in `enumerate_weil` order;
+    all-zero iff the excluded-prime set is empty.
+
+    One norm is computed per orbit {(c*a1, c^2*mu) : c in F_q^x}; every
+    other entry of the orbit reuses it.  The norms of an orbit are equal:
+    - if pi is a root of X^2 + a1*X + mu*y, then c*pi is a root of
+      X^2 + c*a1*X + c^2*mu*y;
+    - the A-algebra isomorphism pi' -> c*pi sends pi'^(2n) - y^n to
+      c^(2n)*pi^(2n) - y^n;
+    - that equals pi^(2n) - y^n, because (q - 1) | n = (q^2 - 1)^2;
+    - so the two norms are equal.
+    The discriminant scales by the square c^2, so the orbit stays inside
+    `enumerate_weil`.
+
+    An entry is zero iff a1 = 0:
+    - (if) pi^2 = -mu*y and (q - 1) | n, so pi^(2n) = (-mu)^n * y^n = y^n.
+    - (only if) The discriminant is a non-square at infinity, so the
+      quadratic is irreducible and F(pi) is a field.  A zero norm then
+      means pi^(2n) = y^n, so zeta = pi^2/y is a root of unity in F(pi),
+      hence a constant of F_q or F_{q^2}.  If zeta is not in F_q, then
+      F(pi) = F_{q^2}(t) and zeta*y would be a square there, which is
+      false because y is square-free.  So pi^2 = zeta*y lies in F, and
+      pi^2 = -a1*pi - mu*y with pi not in F forces a1 = 0.
+    """
     check_norm_degree(y)
+    q = y.q
+    norms = {}
     entries = []
     for w in enumerate_weil(y):
-        entries.append(NormEntry(source=w, value=norm(frobenius_test_element(w))))
+        if (w.a1, w.mu) not in norms:
+            value = norm(frobenius_test_element(w))
+            for c in range(1, q):
+                norms[c * w.a1, c * c * w.mu % q] = value
+        entries.append(NormEntry(source=w, value=norms[w.a1, w.mu]))
     return tuple(entries)
 
 

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -124,6 +125,18 @@ def test_invalid_inputs_exit_2(capsys):
         code, _, err = run(["pcheck", "--field-order", q, "--y", y,
                             "--p", "t+1"], capsys)
         assert code == 2 and "norm degree" in err
+    # a prime of degree 3000 is refused from its degree alone, before any
+    # irreducibility test
+    for argv, reason in (
+            (["pcheck", "--field-order", "3", "--y", "t", "--p", "t^3000+t+2"],
+             "above 200"),
+            (["certify", "--field-order", "3", "--ram1", "t^3000+t+2",
+              "--ram2", "t+1", "--y", "t"], "deg ram1 + deg ram2"),
+            (["wset", "--field-order", "3", "--y", "t^3000+t+2"], "above 200")):
+        start = time.perf_counter()
+        code, _, err = run(argv, capsys)
+        assert code == 2 and reason in err
+        assert time.perf_counter() - start < 5
     # argparse's own errors quote a long value as a short excerpt too
     long = "x" * 5000
     for argv, option in ((["wset", "--field-order", long, "--y", "t"], "--field-order"),

@@ -170,13 +170,31 @@ def test_frobenius_element_degree_bound():
 # norm set and excluded primes
 
 
-def test_dset_zero_norm_dichotomy_q3():
-    y = parse_poly("t", 3)
-    entries = dset(y)
-    assert len(entries) == 6
-    for entry in entries:
-        assert entry.is_zero == entry.source.a1.is_zero
-    assert any(not e.is_zero for e in entries)
+# (q, y) for the dset checks below: every q of the paper's table, with
+# deg y up to 3 at q = 3, 2 at q = 5 and 1 at q = 7 (the most the norm
+# bound admits at q = 5 and 7)
+NORM_CASES = ((3, "t"), (3, "t^2+1"), (3, "t^3+2t+1"), (5, "t"), (5, "t^2+2"),
+              (7, "t"))
+
+
+def test_dset_orbit_norms_match_per_entry_oracle():
+    # dset computes one norm per orbit (c*a1, c^2*mu); the oracle computes
+    # every entry's norm on its own
+    for q, ytxt in NORM_CASES:
+        y = parse_poly(ytxt, q)
+        entries = dset(y)
+        assert [e.source for e in entries] == list(enumerate_weil(y))
+        for entry in entries:
+            assert entry.value == norm(frobenius_test_element(entry.source))
+
+
+def test_dset_zero_norm_dichotomy():
+    # an entry is zero iff a1 = 0 (proof in dset's docstring)
+    for q, ytxt in NORM_CASES:
+        entries = dset(parse_poly(ytxt, q))
+        for entry in entries:
+            assert entry.is_zero == entry.source.a1.is_zero
+        assert any(not e.is_zero for e in entries)
 
 
 def test_dset_nonzero_entries_are_not_units():
