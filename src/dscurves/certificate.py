@@ -243,7 +243,13 @@ def verify_certificate(data):
     if data.get("d") != 2:
         raise SchemaError("only d = 2 certificates are supported")
     D, y, n_poly, K, recorded = _read_inputs(data)
-    failures = _differences(data, _certificate_data(D, y, n_poly, K, recorded))
+    try:
+        expected = _certificate_data(D, y, n_poly, K, recorded)
+    except InvalidInput as exc:
+        # a bound met only during the rebuild, such as the sieve of the
+        # places up to the witness cutoff
+        raise SchemaError("certificate beyond the rebuild bounds: %s" % exc) from exc
+    failures = _differences(data, expected)
     if failures:
         return 1, failures
     if data["verdict"] != VALID:

@@ -9,6 +9,7 @@ bound m, when one exists, discharges every place of degree >= 2m + 1 so
 explicit searches stop at degree 2m.
 """
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -131,10 +132,12 @@ def witness_search(D, l):
 
 
 # largest q^(deg ram1 + deg ram2) that verify accepts: about the number of
-# residue pairs fast_m_bound loops over, and of the squares it tabulates.
+# residue pairs fast_m_bound covers, and of the squares it tabulates.
 # Measured fast_m_bound on CPython 3.11, one core of a 2-vCPU machine, at
-# 3-6e-5 s per pair: 3^10 (t^9+t^7+2t^6+1, t+1) takes 3.5 s and 5^7 2.9 s;
-# 7^6 (4.0-4.5 s) and 3^11 (7.5-10 s) are refused
+# 4-12e-6 s per pair, most of it square_residues of the larger prime:
+# 3^10 (t^9+t^7+2t^6+1, t+1) takes 0.47 s, 5^7 (t^6+2t^5+3, t+2) 0.34 s.
+# Refused: 7^6 (t^5+t^4+4, t+3, 0.37 s) and 3^11 (t^10+t^8+t^7+2t^6+2, t+1,
+# 1.5 s).  The limit stays, since raising it would admit new inputs
 _MAX_RESIDUE_PAIRS = 10 ** 5
 
 
@@ -150,6 +153,17 @@ def check_pair_count(ram1, ram2):
                                                   ram1.degree, ram2.degree))
 
 
+def _nonsquare_mask(x, units, squares):
+    """Bitmask over units: bit j is set iff x + units[j] is a nonzero
+    non-square, read from `squares`, the `square_residues` of the modulus."""
+    mask = 0
+    for j, u in enumerate(units):
+        d = x + u
+        if d and d.coeffs not in squares:
+            mask |= 1 << j
+    return mask
+
+
 @lru_cache(maxsize=None)
 def fast_m_bound(D):
     """Least m <= deg(ram1)+deg(ram2)-2 such that every b coprime to both
@@ -159,32 +173,57 @@ def fast_m_bound(D):
     When m exists, witnesses are only needed for places of degree <= 2m.
 
     By CRT those b are exactly the pairs (b1, b2) of nonzero residues mod
-    ram1 and mod ram2, and the symbol at ram_i depends only on b_i, so the
-    loop runs over the pairs and reads each symbol from `square_residues`.
+    ram1 and mod ram2, and the symbol at ram_i depends only on b_i; -b_i
+    runs over the units as b_i does, so a pair is a pair of units (r, s)
+    and a covers it iff a^2 + r and a^2 + s are nonzero non-squares.
+
+    Call p the prime with more units and s the other.  The candidates a
+    are built one degree level at a time, in enumeration order, and each
+    keeps a^2 mod p and a bitmask over the units of s: bit j is set iff
+    a^2 + (unit j) is a nonzero non-square mod s.  For each unit r of p,
+    `pending` holds the units of s not yet covered; a scan of the
+    candidates tests r's symbol only for an a whose mask meets `pending`,
+    then clears those bits.  The first a to clear a bit is the least a in
+    enumeration order, so of least degree, covering that pair: m is the
+    highest level a pair needed.  A level is built only when a scan has
+    used up the levels built so far, and m is None once a scan uses up
+    level deg(ram1)+deg(ram2)-2.
     """
     q = D.q
-    p1, p2 = D.ram1, D.ram2
-    sq1, sq2 = square_residues(p1), square_residues(p2)
-    cands = [(max(a.degree, 0), (a * a) % p1, (a * a) % p2)
-             for a in polys_of_degree_at_most(q, p1.degree + p2.degree - 2)]
-    # -b_i runs over the nonzero residues as b_i does, so a^2 - b_i is
-    # a^2 + r_i with r_i taken straight from the enumeration
-    units1 = [r for r in polys_of_degree_at_most(q, p1.degree - 1) if r]
-    units2 = [r for r in polys_of_degree_at_most(q, p2.degree - 1) if r]
+    p, s = ((D.ram1, D.ram2) if D.ram1.degree >= D.ram2.degree
+            else (D.ram2, D.ram1))
+    sq_p, sq_s = square_residues(p), square_residues(s)
+    units_p = [r for r in polys_of_degree_at_most(q, p.degree - 1) if r]
+    units_s = [r for r in polys_of_degree_at_most(q, s.degree - 1) if r]
+    top = p.degree + s.degree - 2
+    polys = polys_of_degree_at_most(q, top)
+    masks = {}  # a^2 mod s -> mask over units_s
+    cands = []  # (level, a^2 mod p, mask), in enumeration order
+    level = -1
     worst = 0
-    for r1 in units1:
-        for r2 in units2:
-            for adeg, a21, a22 in cands:  # enumeration is degree-ascending
-                d1 = a21 + r1
-                if d1.is_zero or d1.coeffs in sq1:
-                    continue
-                d2 = a22 + r2
-                if d2.is_zero or d2.coeffs in sq2:
-                    continue
-                worst = max(worst, adeg)
-                break
-            else:
-                return None
+    for r in units_p:
+        pending = (1 << len(units_s)) - 1
+        i = 0
+        while pending:
+            if i == len(cands):
+                if level == top:
+                    return None
+                level += 1
+                # level 0 is zero and the constants, level k the q^k*(q-1)
+                # polynomials of degree k
+                for a in itertools.islice(polys, (q - 1) * q ** level if level else q):
+                    a2 = a * a
+                    a2s = a2 % s
+                    if a2s not in masks:
+                        masks[a2s] = _nonsquare_mask(a2s, units_s, sq_s)
+                    cands.append((level, a2 % p, masks[a2s]))
+            adeg, a2p, bits = cands[i]
+            i += 1
+            if pending & bits:
+                d = a2p + r
+                if d and d.coeffs not in sq_p:
+                    worst = max(worst, adeg)
+                    pending &= ~bits
     return worst
 
 

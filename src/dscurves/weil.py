@@ -72,6 +72,24 @@ class WeilPoly:
         return "X^2 + (%s)X + (%s)" % (format_poly(self.a1), format_poly(self.const_term))
 
 
+# largest count (q - 1) * q^(deg y // 2 + 1) of pairs (a1, mu) that
+# enumerate_weil tests.  Measured `dscurves wset` on CPython 3.11, one core
+# of a 2-vCPU machine, at 2e-5 s per pair: q = 307, y = t (93942 pairs)
+# takes 2.0 s.  dset's norm bound admits at most about 2000 pairs
+_MAX_WEIL_COUNT = 10 ** 5
+
+
+def check_weil_count(y):
+    """InvalidInput unless enumerate_weil(y) tests at most _MAX_WEIL_COUNT
+    pairs (a1, mu).  It reads degrees only, so it answers at once at any q."""
+    q, k = y.q, y.degree // 2 + 1
+    # q^k >= 2^k: a k this large fails without computing the power
+    if k >= _MAX_WEIL_COUNT.bit_length() or (q - 1) * q ** k > _MAX_WEIL_COUNT:
+        raise InvalidInput("admissible quadratics for y: more than %d pairs "
+                           "(a1, mu) at q = %d, deg y = %d"
+                           % (_MAX_WEIL_COUNT, q, y.degree))
+
+
 @lru_cache(maxsize=None)
 def enumerate_weil(y):
     """All admissible quadratics for y (d = 2), grouped by a1 then mu.
@@ -79,6 +97,7 @@ def enumerate_weil(y):
     Conjugate roots share a minimal polynomial, so each entry stands for a
     conjugate pair of Weil numbers.
     """
+    check_weil_count(y)
     require_monic_irreducible(y, "y")
     q = y.q
     out = []
@@ -208,13 +227,20 @@ def dset(y):
 
 def norm_statuses(p, y):
     """Lazily, (entry, status) for each NormEntry of dset(y): status is
-    "zero norm", "divides" when p divides the nonzero norm, or "coprime"."""
+    "zero norm", "divides" when p divides the nonzero norm, or "coprime".
+    Each distinct norm is reduced mod p once; the other entries of its
+    orbit (see `dset`) reuse its status."""
     require_monic_irreducible(p, "p")
     if p == y:
         raise InvalidInput("p must differ from y")
+    statuses = {}
     for entry in dset(y):
-        yield entry, ("zero norm" if entry.is_zero
-                      else "divides" if (entry.value % p).is_zero else "coprime")
+        status = statuses.get(entry.value)
+        if status is None:
+            status = statuses[entry.value] = (
+                "zero norm" if entry.is_zero
+                else "divides" if (entry.value % p).is_zero else "coprime")
+        yield entry, status
 
 
 def p_excluded(p, y):

@@ -5,6 +5,7 @@ from datetime import timedelta
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dscurves import fpoly
 from dscurves.certificate import (SCHEMA_VERSION, SchemaError,
                                   admissible_eps_set, canonical_json,
                                   hasse_certificate, verify_certificate)
@@ -205,6 +206,19 @@ def test_mutation_battery():
         code, failures = verify_certificate(mutated)
         assert code == 1, "mutation %r was not detected" % name
         assert failures
+
+
+def test_sieve_refused_in_the_rebuild_is_a_schema_error(monkeypatch):
+    # the places up to the witness cutoff need a sieve above the limit:
+    # verify refuses the certificate as unusable (exit 3), not as input
+    data = json.loads(make_cert(3, "t^3+t^2+t+2", "t+1").to_json())
+    monkeypatch.setattr(fpoly, "_MAX_SIEVE", 3 ** 2)
+    fpoly.monic_irreducibles.cache_clear()
+    try:
+        with pytest.raises(SchemaError, match="exceeds 9"):
+            verify_certificate(data)
+    finally:
+        fpoly.monic_irreducibles.cache_clear()
 
 
 def test_schema_errors():

@@ -126,13 +126,17 @@ def test_invalid_inputs_exit_2(capsys):
                             "--p", "t+1"], capsys)
         assert code == 2 and "norm degree" in err
     # a prime of degree 3000 is refused from its degree alone, before any
-    # irreducibility test
+    # irreducibility test, and so is a wset with too many rows
     for argv, reason in (
             (["pcheck", "--field-order", "3", "--y", "t", "--p", "t^3000+t+2"],
              "above 200"),
             (["certify", "--field-order", "3", "--ram1", "t^3000+t+2",
               "--ram2", "t+1", "--y", "t"], "deg ram1 + deg ram2"),
-            (["wset", "--field-order", "3", "--y", "t^3000+t+2"], "above 200")):
+            (["wset", "--field-order", "3", "--y", "t^3000+t+2"], "above 200"),
+            # about 10^6 pairs (a1, mu) to list, and 2 * 3^101 for an
+            # irreducible y of degree 200: the count is read from degrees
+            (["wset", "--field-order", "1009", "--y", "t"], "pairs (a1, mu)"),
+            (["wset", "--field-order", "3", "--y", "t^200+t^3+2"], "pairs (a1, mu)")):
         start = time.perf_counter()
         code, _, err = run(argv, capsys)
         assert code == 2 and reason in err

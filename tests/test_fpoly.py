@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 
 import pytest
 import sympy
@@ -151,6 +153,24 @@ def test_gauss_counts():
     for q, maxdeg in ((3, 8), (5, 6), (7, 4)):
         for n in range(1, maxdeg + 1):
             assert len(monic_irreducibles(q, n)) == gauss_irreducible_count(q, n)
+
+
+def test_monic_irreducibles_sieve_matches_ben_or():
+    # the sieve against Ben-Or on every monic polynomial, in the same order
+    for q, maxdeg in ((3, 8), (5, 5), (7, 4), (11, 3)):
+        for n in range(1, maxdeg + 1):
+            monics = (Poly(q, low + (1,))
+                      for low in itertools.product(range(q), repeat=n))
+            want = [f for f in monics if is_irreducible(f)]
+            assert list(monic_irreducibles(q, n)) == want, (q, n)
+
+
+def test_monic_irreducibles_refuses_a_huge_sieve():
+    # 3^40 slots are refused from the degree alone, before any allocation
+    start = time.perf_counter()
+    with pytest.raises(InvalidInput):
+        monic_irreducibles(3, 40)
+    assert time.perf_counter() - start < 1
 
 
 def test_enumeration_order_is_lexicographic():

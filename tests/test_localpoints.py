@@ -134,6 +134,13 @@ def test_fast_m_bound_matches_oracle():
     ms = [fast_m_bound(D) for D in Ds]
     assert ms == [m_bound_oracle(D) for D in Ds]
     assert None in ms
+    # every pair of the q = 7 window deg ram1 <= 2, deg ram2 <= 1
+    window = [QuaternionData(ram1=p, ram2=s)
+              for d in (1, 2) for p in monic_irreducibles(7, d)
+              for s in monic_irreducibles(7, 1) if p != s]
+    window_ms = [fast_m_bound(D) for D in window]
+    assert window_ms == [m_bound_oracle(D) for D in window]
+    assert len(window) == 189 and window_ms.count(None) == 42
 
 
 def test_fast_m_bound_above_the_old_table_cap():
