@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 from . import ffield
 from .errors import InvalidInput, ParseError, excerpt
-from .fpoly import (format_poly, is_squarefree, parse_poly, poly_gcd,
-                    require_monic_irreducible)
-from .localpoints import LocalReport, LocalWitness, check_pair_count, local_all
+from .fpoly import format_poly, is_squarefree, parse_poly, poly_gcd
+from .localpoints import LocalReport, LocalWitness, local_all
 from .splitting import QuadraticField, QuaternionData, nonexistence_criterion
 from .weil import check_norm_degree, exponent_n
 
@@ -41,11 +40,12 @@ def admissible_eps_set(n_poly):
 
 def _quadratic_field(D, y, n_poly, eps):
     """K = F(sqrt(eps * y * ram1 * ram2 * n_poly)), once the inputs meet the
-    preconditions of a certificate; InvalidInput otherwise."""
+    preconditions of a certificate; InvalidInput otherwise.  y's norm bound
+    comes before the square-free test of the radical, which refuses a y
+    equal to a ramified prime; `nonexistence_criterion` tests that y is a
+    monic irreducible."""
     q = D.q
-    require_monic_irreducible(y, "y")
-    if y in (D.ram1, D.ram2):
-        raise InvalidInput("y must avoid the ramified primes")
+    check_norm_degree(y)
     if n_poly.is_zero or not n_poly.is_monic:
         raise InvalidInput("n_poly must be monic")
     if not is_squarefree(n_poly):
@@ -179,17 +179,13 @@ def _read_local(local, q):
 
 def _read_inputs(data):
     """(D, y, n_poly, K, recorded local report), read strictly: every
-    polynomial a JSON string, every integer a JSON integer, the norms of
-    dset(y) and the residue pairs of (ram1, ram2) few enough to compute,
-    both bounds read from degrees before any irreducibility test, and the
-    preconditions of `hasse_certificate` met."""
+    polynomial a JSON string, every integer a JSON integer, and the inputs
+    accepted by the types and the `_quadratic_field` that certify uses."""
     try:
         q = _json(data["field_order"], int, "field_order")
         ffield.validate_field_order(q)
         y, ram1, ram2, n_poly = (_json_poly(data[key], q, key)
                                  for key in ("y", "ram1", "ram2", "n_poly"))
-        check_norm_degree(y)
-        check_pair_count(ram1, ram2)
         D = QuaternionData(ram1=ram1, ram2=ram2)
         K = _quadratic_field(D, y, n_poly, _json(data["eps"], int, "eps"))
         recorded = _read_local(data["local"], q)
@@ -246,9 +242,9 @@ def verify_certificate(data):
     try:
         expected = _certificate_data(D, y, n_poly, K, recorded)
     except InvalidInput as exc:
-        # a bound met only during the rebuild, such as the sieve of the
-        # places up to the witness cutoff
-        raise SchemaError("certificate beyond the rebuild bounds: %s" % exc) from exc
+        # a precondition met only during the rebuild: y a monic irreducible,
+        # or the sieve of the places up to the witness cutoff within bounds
+        raise SchemaError("certificate inputs refused by the rebuild: %s" % exc) from exc
     failures = _differences(data, expected)
     if failures:
         return 1, failures

@@ -1,8 +1,10 @@
 """Command-line driver: parses arguments, calls the library, prints.
 
 Subcommands mirror the pipeline stages: `wset`, `pcheck`, `pset`,
-`criterion`, `local`, `certify`, `verify`, `search`.  No mathematics lives
-here; the search pipeline is `dscurves.search.search`.
+`criterion`, `local`, `certify`, `verify`, `search`.  No mathematics and
+no input precondition lives here: the library checks what it is given, so
+the Python API refuses the inputs the CLI refuses.  The search pipeline is
+`dscurves.search.search`.
 
 Exit codes: 0 verified/valid, 1 checked-and-false, 2 invalid input,
 3 format/schema error.
@@ -17,11 +19,11 @@ from . import ffield
 from .certificate import (VALID, SchemaError, canonical_json,
                           hasse_certificate, verify_certificate)
 from .errors import InvalidInput, ParseError, excerpt
-from .fpoly import format_poly, parse_poly, require_monic_irreducible
-from .localpoints import check_pair_count, local_all
+from .fpoly import format_poly, parse_poly
+from .localpoints import local_all
 from .search import search
 from .splitting import QuadraticField, QuaternionData, nonexistence_criterion
-from .weil import check_norm_degree, enumerate_weil, norm_statuses, pset
+from .weil import enumerate_weil, norm_statuses, pset
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -115,34 +117,9 @@ def _parse(text, q, what):
         raise InvalidInput("bad %s %s: %s" % (what, excerpt(text), exc)) from exc
 
 
-# Ben-Or's test on an irreducible of degree 200 takes 0.96 s at q = 3,
-# 1.7 s at q = 5 and 2.3 s at q = 7 (CPython 3.11, one core of a 2-vCPU
-# machine).  The cap bounds wset's y and pcheck's p; every other y, and
-# (ram1, ram2), has a tighter bound read from degrees before the test
-_MAX_PRIME_DEGREE = 200
-
-
-def _prime(f, what):
-    """f, once its degree is at most _MAX_PRIME_DEGREE and it is a monic
-    irreducible."""
-    if f.degree > _MAX_PRIME_DEGREE:
-        raise InvalidInput("%s has degree %d, above %d"
-                           % (what, f.degree, _MAX_PRIME_DEGREE))
-    require_monic_irreducible(f, what)
-    return f
-
-
-def _y_arg(args, q):
-    """The y of a command that computes dset(y): its norm bound is checked
-    before the irreducibility test."""
-    y = _parse(args.y, q, "y")
-    check_norm_degree(y)
-    return _prime(y, "y")
-
-
 def cmd_wset(args):
     q = args.field_order
-    y = _prime(_parse(args.y, q, "y"), "y")
+    y = _parse(args.y, q, "y")
     rows = []
     for w in enumerate_weil(y):
         disc = w.discriminant
@@ -163,8 +140,8 @@ def cmd_wset(args):
 
 def cmd_pcheck(args):
     q = args.field_order
-    y = _y_arg(args, q)
-    p = _prime(_parse(args.p, q, "p"), "p")
+    y = _parse(args.y, q, "y")
+    p = _parse(args.p, q, "p")
     rows = [{"weil": str(entry.source), "norm_degree": entry.value.degree,
              "status": status} for entry, status in norm_statuses(p, y)]
     excluded = all(row["status"] != "divides" for row in rows)
@@ -182,7 +159,7 @@ def cmd_pcheck(args):
 
 def cmd_pset(args):
     q = args.field_order
-    y = _y_arg(args, q)
+    y = _parse(args.y, q, "y")
     primes = pset(y, seed=args.seed)
     if args.json:
         print(canonical_json({"field_order": q, "y": format_poly(y),
@@ -196,12 +173,8 @@ def cmd_pset(args):
 
 
 def _quaternion_args(args, q):
-    ram1 = _parse(args.ram1, q, "ram1")
-    ram2 = _parse(args.ram2, q, "ram2")
-    # the pair bound, read from degrees, comes before QuaternionData's
-    # irreducibility tests and is tighter than _MAX_PRIME_DEGREE
-    check_pair_count(ram1, ram2)
-    return QuaternionData(ram1=ram1, ram2=ram2)
+    return QuaternionData(ram1=_parse(args.ram1, q, "ram1"),
+                          ram2=_parse(args.ram2, q, "ram2"))
 
 
 def _field_args(args, q):
@@ -212,7 +185,7 @@ def _field_args(args, q):
 def cmd_criterion(args):
     q = args.field_order
     D = _quaternion_args(args, q)
-    y = _y_arg(args, q)
+    y = _parse(args.y, q, "y")
     K = _field_args(args, q)
     report = nonexistence_criterion(D, y, K)
     payload = dict(report.to_dict(), failures=list(report.failures))
@@ -257,7 +230,7 @@ def cmd_local(args):
 def cmd_certify(args):
     q = args.field_order
     D = _quaternion_args(args, q)
-    y = _y_arg(args, q)
+    y = _parse(args.y, q, "y")
     n_poly = _parse(args.n_poly, q, "n-poly")
     cert = hasse_certificate(D, y, n_poly, args.eps)
     text = cert.to_json()
@@ -293,7 +266,7 @@ def cmd_verify(args):
 
 def cmd_search(args):
     q = args.field_order
-    y = _y_arg(args, q)
+    y = _parse(args.y, q, "y")
     n_candidates, results = search(y, args.max_deg1, args.max_deg2,
                                    workers=args.threads)
     triples = [(a, b, d) for a, b, d in results if d["verdict"] == VALID]

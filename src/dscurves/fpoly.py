@@ -438,12 +438,13 @@ def square_residues(p):
     """The nonzero squares mod the monic irreducible p, as a frozenset of
     the canonical coefficient tuples (`Poly.coeffs`) of their reductions.
     A residue r != 0 with deg r < deg p is a square iff r.coeffs is in it.
-    Building it costs one product and one division per residue."""
-    squares = set()
-    for a in polys_of_degree_at_most(p.q, p.degree - 1):
-        if not a.is_zero:
-            squares.add(((a * a) % p).coeffs)
-    return frozenset(squares)
+    a and -a have the same square, so only the a with leading coefficient
+    at most (q - 1)/2 are squared: one product and one division for each
+    of half the residues."""
+    half = p.q // 2
+    return frozenset(((a * a) % p).coeffs
+                     for a in polys_of_degree_at_most(p.q, p.degree - 1)
+                     if 0 < a.leading_coeff <= half)
 
 
 def residue_symbol(a, p):
@@ -573,31 +574,3 @@ def format_poly(f):
             head = "" if c == 1 else str(c)
             terms.append(head + ("t" if i == 1 else "t^%d" % i))
     return "+".join(terms)
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def gauss_irreducible_count(q, n):
-    """Gauss's count (1/n) sum_{d|n} mu(d) q^{n/d} of monic irreducibles."""
-    def mobius(m):
-        out = 1
-        for p in _prime_divisors(m):
-            if m % (p * p) == 0:
-                return 0
-            out = -out
-        return out
-
-    total = sum(mobius(d) * q ** (n // d) for d in range(1, n + 1) if n % d == 0)
-    return total // n

@@ -131,28 +131,6 @@ def witness_search(D, l):
     return None
 
 
-# largest q^(deg ram1 + deg ram2) that verify accepts: about the number of
-# residue pairs fast_m_bound covers, and of the squares it tabulates.
-# Measured fast_m_bound on CPython 3.11, one core of a 2-vCPU machine, at
-# 4-12e-6 s per pair, most of it square_residues of the larger prime:
-# 3^10 (t^9+t^7+2t^6+1, t+1) takes 0.47 s, 5^7 (t^6+2t^5+3, t+2) 0.34 s.
-# Refused: 7^6 (t^5+t^4+4, t+3, 0.37 s) and 3^11 (t^10+t^8+t^7+2t^6+2, t+1,
-# 1.5 s).  The limit stays, since raising it would admit new inputs
-_MAX_RESIDUE_PAIRS = 10 ** 5
-
-
-def check_pair_count(ram1, ram2):
-    """InvalidInput unless q^(deg ram1 + deg ram2) is at most
-    _MAX_RESIDUE_PAIRS.  It reads degrees only, so it answers at once, even
-    before the primes are known to be irreducible."""
-    k = max(ram1.degree + ram2.degree, 0)
-    # q^k >= 2^k: a k this large fails without computing the power
-    if k >= _MAX_RESIDUE_PAIRS.bit_length() or ram1.q ** k > _MAX_RESIDUE_PAIRS:
-        raise InvalidInput("q^(deg ram1 + deg ram2) exceeds %d at q = %d, "
-                           "degrees %d and %d" % (_MAX_RESIDUE_PAIRS, ram1.q,
-                                                  ram1.degree, ram2.degree))
-
-
 def _nonsquare_mask(x, units, squares):
     """Bitmask over units: bit j is set iff x + units[j] is a nonzero
     non-square, read from `squares`, the `square_residues` of the modulus."""

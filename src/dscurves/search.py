@@ -8,17 +8,25 @@ n = 1, since a certificate's verdict depends on (q, D, y) only.
 """
 
 from .certificate import admissible_eps_set, hasse_certificate
-from .fpoly import Poly, format_poly, monic_irreducibles, parse_poly
+from .fpoly import (Poly, format_poly, monic_irreducibles, parse_poly,
+                    require_monic_irreducible)
 from .localpoints import ramified_mu
-from .splitting import QuaternionData, mu_y_obstruction
-from .weil import p_excluded
+from .splitting import QuaternionData, check_pair_count, mu_y_obstruction
+from .weil import check_norm_degree, p_excluded
 
 
 def candidates(y, max_deg1, max_deg2):
     """Pairs (p, s) of monic irreducibles with deg p <= max_deg1 and
     deg s <= max_deg2, distinct from each other and from y, whose product
-    with y has odd degree (the eps table needs odd total degree)."""
+    with y has odd degree (the eps table needs odd total degree).
+
+    The window is refused from its degrees alone, before any sieve, when
+    some (deg p, deg s) of that parity exceeds the pair bound."""
     q = y.q
+    for d1 in range(1, max_deg1 + 1):
+        for d2 in range(1, max_deg2 + 1):
+            if (y.degree + d1 + d2) % 2 == 1:
+                check_pair_count(q, d1, d2)
     out = []
     for d1 in range(1, max_deg1 + 1):
         for p in monic_irreducibles(q, d1):
@@ -61,7 +69,12 @@ def search(y, max_deg1, max_deg2, workers=1):
     (ram1 text, ram2 text, certificate dict) in candidate order, VALID and
     INVALID alike.  `workers` > 1 certifies in that many processes; the
     results are the same.
+
+    The cheap filters may reject every pair without computing dset(y), so
+    y is checked here: its norm bound, then its irreducibility test.
     """
+    check_norm_degree(y)
+    require_monic_irreducible(y, "y")
     pairs = candidates(y, max_deg1, max_deg2)
     jobs = [(y.q, format_poly(p), format_poly(s), format_poly(y))
             for p, s in pairs

@@ -52,15 +52,39 @@ class QuadraticField:
         return "F(sqrt(%s))" % format_poly(self.radicand)
 
 
+# largest q^(deg ram1 + deg ram2) accepted: about the number of residue
+# pairs fast_m_bound covers, and of the squares it tabulates.  Measured
+# fast_m_bound on CPython 3.11, one core of a 2-vCPU machine, at 4-12e-6 s
+# per pair, most of it square_residues of the larger prime: 3^10
+# (t^9+t^7+2t^6+1, t+1) takes 0.47 s, 5^7 (t^6+2t^5+3, t+2) 0.34 s.
+# Refused: 7^6 (t^5+t^4+4, t+3, 0.37 s) and 3^11 (t^10+t^8+t^7+2t^6+2, t+1,
+# 1.5 s).  The limit stays, since raising it would admit new inputs
+_MAX_RESIDUE_PAIRS = 10 ** 5
+
+
+def check_pair_count(q, deg1, deg2):
+    """InvalidInput unless q^(deg1 + deg2) is at most _MAX_RESIDUE_PAIRS,
+    for ramified primes of degrees deg1 and deg2.  It reads degrees only,
+    so it answers at once, before any prime is known to be irreducible."""
+    k = max(deg1 + deg2, 0)
+    # q^k >= 2^k: a k this large fails without computing the power
+    if k >= _MAX_RESIDUE_PAIRS.bit_length() or q ** k > _MAX_RESIDUE_PAIRS:
+        raise InvalidInput("q^(deg ram1 + deg ram2) exceeds %d at q = %d, "
+                           "degrees %d and %d"
+                           % (_MAX_RESIDUE_PAIRS, q, deg1, deg2))
+
+
 @dataclass(frozen=True)
 class QuaternionData:
     """Quaternion division algebra over F_q(t), split at infinity, ramified
-    exactly at the two distinct monic irreducibles (ram1, ram2)."""
+    exactly at the two distinct monic irreducibles (ram1, ram2).  The pair
+    bound, read from degrees, comes before the irreducibility tests."""
 
     ram1: Poly
     ram2: Poly
 
     def __post_init__(self):
+        check_pair_count(self.ram1.q, self.ram1.degree, self.ram2.degree)
         if self.ram1 == self.ram2:
             raise InvalidInput("ramified primes must be distinct")
         require_monic_irreducible(self.ram1, "ram1")
@@ -88,8 +112,6 @@ def field_splits_quaternion(K, D):
 def mu_y_obstruction(D, y):
     """True iff every F(sqrt(mu*y)) fails to split D, i.e. for each square
     class mu some ramified prime splits in F(sqrt(mu*y))."""
-    if y in (D.ram1, D.ram2):
-        raise InvalidInput("y must differ from the ramified primes")
     return not any(field_splits_quaternion(QuadraticField(eps=mu, radical=y), D)
                    for mu in ffield.square_class_reps(D.q))
 
@@ -143,17 +165,18 @@ def nonexistence_criterion(D, y, K):
     """Evaluate the four hypotheses forcing the curve to have no K-points.
 
     Returns a CriterionReport; failures list the hypotheses that do not hold,
-    in their stated order.
+    in their stated order.  The excluded-prime tests come before any
+    residue symbol: `dset(y)` refuses a y beyond its norm bound, then a y
+    that is not a monic irreducible.
     """
-    require_monic_irreducible(y, "y")
-    if y in (D.ram1, D.ram2):
-        raise InvalidInput("y must avoid the ramified primes")
     if K.q != D.q or y.q != D.q:
         raise InvalidInput("mismatched field orders")
-    splits = field_splits_quaternion(K, D)
-    y_ram = place_behavior(y, K) == SplitType.RAMIFIED
+    if y in (D.ram1, D.ram2):
+        raise InvalidInput("y must differ from the ramified primes")
     r1_ex = p_excluded(D.ram1, y)
     r2_ex = p_excluded(D.ram2, y)
+    splits = field_splits_quaternion(K, D)
+    y_ram = place_behavior(y, K) == SplitType.RAMIFIED
     mu_ob = mu_y_obstruction(D, y)
     flags = {
         "field_splits": splits,

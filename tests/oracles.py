@@ -1,0 +1,31 @@
+"""Exact oracles shared by the test modules."""
+
+
+def _prime_divisors(n):
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def mobius(m):
+    out = 1
+    for p in _prime_divisors(m):
+        if m % (p * p) == 0:
+            return 0
+        out = -out
+    return out
+
+
+def gauss_irreducible_count(q, n):
+    """Gauss's count (1/n) sum_{d|n} mu(d) q^{n/d} of monic irreducibles of
+    degree n over F_q: the count oracle of the sieve `monic_irreducibles`."""
+    total = sum(mobius(d) * q ** (n // d) for d in range(1, n + 1) if n % d == 0)
+    return total // n

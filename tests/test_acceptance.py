@@ -11,13 +11,14 @@ import pytest
 
 from dscurves.certificate import (admissible_eps_set, hasse_certificate,
                                   verify_certificate)
-from dscurves.fpoly import (Poly, factor, gauss_irreducible_count,
-                            is_irreducible, monic_irreducibles, parse_poly,
-                            polys_of_degree_at_most, residue_symbol)
+from dscurves.fpoly import (Poly, factor, is_irreducible, monic_irreducibles,
+                            parse_poly, polys_of_degree_at_most,
+                            residue_symbol)
 from dscurves.splitting import QuaternionData
 from dscurves.weil import (dset, enumerate_weil, ext_mul, exponent_n, lq,
                            norm, p_excluded, QuadExtElem)
 from dscurves import cli
+from oracles import gauss_irreducible_count
 
 SIX_TRIPLES = [
     (3, "t^3+t^2+t+2", "t+1"),

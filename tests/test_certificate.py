@@ -221,6 +221,16 @@ def test_sieve_refused_in_the_rebuild_is_a_schema_error(monkeypatch):
         fpoly.monic_irreducibles.cache_clear()
 
 
+def test_reducible_y_is_refused_by_the_rebuild():
+    # t^3+t = t(t^2+1) meets every precondition that reading checks; the
+    # rebuild's criterion refuses it through dset(y), before any symbol
+    data = json.loads(make_cert(3, "t^3+t^2+t+2", "t+1").to_json())
+    data["y"] = "t^3+t"
+    with pytest.raises(SchemaError,
+                       match="refused by the rebuild: y must be a monic irreducible"):
+        verify_certificate(data)
+
+
 def test_schema_errors():
     data = json.loads(make_cert(3, "t^3+t^2+t+2", "t+1").to_json())
 

@@ -8,8 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from dscurves import cli
+from dscurves import cli, fpoly, search, weil
+from dscurves.certificate import hasse_certificate
+from dscurves.errors import InvalidInput
 from dscurves.fpoly import Poly, format_poly, parse_poly
+from dscurves.splitting import (QuadraticField, QuaternionData,
+                                nonexistence_criterion)
 
 
 def run(argv, capsys):
@@ -132,11 +136,15 @@ def test_invalid_inputs_exit_2(capsys):
              "above 200"),
             (["certify", "--field-order", "3", "--ram1", "t^3000+t+2",
               "--ram2", "t+1", "--y", "t"], "deg ram1 + deg ram2"),
-            (["wset", "--field-order", "3", "--y", "t^3000+t+2"], "above 200"),
+            (["wset", "--field-order", "3", "--y", "t^3000+t+2"], "pairs (a1, mu)"),
             # about 10^6 pairs (a1, mu) to list, and 2 * 3^101 for an
             # irreducible y of degree 200: the count is read from degrees
             (["wset", "--field-order", "1009", "--y", "t"], "pairs (a1, mu)"),
-            (["wset", "--field-order", "3", "--y", "t^200+t^3+2"], "pairs (a1, mu)")):
+            (["wset", "--field-order", "3", "--y", "t^200+t^3+2"], "pairs (a1, mu)"),
+            # (5, 1) at q = 7 has 7^6 residue pairs: the whole window is
+            # refused from its degrees, before any sieve
+            (["search", "--field-order", "7", "--max-deg1", "5", "--max-deg2", "1"],
+             "deg ram1 + deg ram2")):
         start = time.perf_counter()
         code, _, err = run(argv, capsys)
         assert code == 2 and reason in err
@@ -149,6 +157,56 @@ def test_invalid_inputs_exit_2(capsys):
             cli.main(argv)
         err = capsys.readouterr().err
         assert exc.value.code == 2 and option in err and len(err) < 200
+
+
+def test_each_input_gets_one_irreducibility_test(capsys, monkeypatch, tmp_path):
+    # certify and verify test ram1 and ram2 in QuaternionData, y in dset and
+    # each ramified prime once more as the p of norm_statuses; pcheck tests
+    # y and p, and wset y.  The caches holding dset(y) are cleared first, as
+    # in a cold process
+    calls = []
+    distinct_degree = fpoly._distinct_degree
+
+    def counted(f):
+        calls.append(f)
+        return distinct_degree(f)
+
+    monkeypatch.setattr(fpoly, "_distinct_degree", counted)
+    cert = str(tmp_path / "cert.json")
+    for argv, want in (
+            (["certify", "--field-order", "3", "--ram1", "t^3+t^2+t+2",
+              "--ram2", "t+1", "--y", "t", "--out", cert], 5),
+            (["verify", cert], 5),
+            (["pcheck", "--field-order", "3", "--y", "t", "--p", "t^3+t^2+t+2"], 2),
+            (["wset", "--field-order", "3", "--y", "t"], 1)):
+        weil.dset.cache_clear()
+        weil.enumerate_weil.cache_clear()
+        calls.clear()
+        code, _, _ = run(argv, capsys)
+        assert code == 0 and len(calls) == want, (argv[0], len(calls))
+
+
+def test_library_refuses_degree_3000_from_degrees():
+    # every entry point reads its degree bound before any irreducibility
+    # test, which would take minutes at degree 3000
+    q = 3
+    big = parse_poly("t^3000+t+2", q)
+    y, r1, r2 = (parse_poly(text, q) for text in ("t", "t^3+t^2+t+2", "t+1"))
+    D = QuaternionData(ram1=r1, ram2=r2)
+    K = QuadraticField(eps=1, radical=y * r1 * r2)
+    for call in (lambda: QuaternionData(ram1=big, ram2=r2),
+                 lambda: hasse_certificate(D, big, Poly.one(q), 1),
+                 lambda: nonexistence_criterion(D, big, K),
+                 lambda: list(weil.norm_statuses(big, y)),
+                 lambda: list(weil.norm_statuses(r1, big)),
+                 lambda: weil.dset(big),
+                 lambda: weil.enumerate_weil(big),
+                 lambda: search.search(big, 3, 1),
+                 lambda: search.search(y, 3000, 1)):
+        start = time.perf_counter()
+        with pytest.raises(InvalidInput):
+            call()
+        assert time.perf_counter() - start < 1
 
 
 def test_cli_import_loads_no_numpy():

@@ -7,10 +7,11 @@ import sympy
 
 from dscurves import fpoly
 from dscurves.errors import InvalidInput, ParseError
-from dscurves.fpoly import (Poly, factor, format_poly, gauss_irreducible_count,
-                            is_irreducible, is_squarefree, monic_irreducibles,
-                            parse_poly, poly_gcd, polys_of_degree_at_most,
-                            powmod, residue_symbol, valuation)
+from dscurves.fpoly import (Poly, factor, format_poly, is_irreducible,
+                            is_squarefree, monic_irreducibles, parse_poly,
+                            poly_gcd, polys_of_degree_at_most, powmod,
+                            residue_symbol, square_residues, valuation)
+from oracles import gauss_irreducible_count
 
 X = sympy.Symbol("x")
 
@@ -245,6 +246,21 @@ def test_residue_symbol_exhaustive_square_oracle():
                     r = a % p
                     want = 0 if r.is_zero else (1 if r.coeffs in squares else -1)
                     assert residue_symbol(a, p) == want
+
+
+def test_square_residues_matches_squaring_every_residue():
+    # the primes of the six table triples and the degree-9 prime at q = 3
+    # that sits near the pair limit
+    primes = [(3, "t^3+t^2+t+2"), (3, "t+1"), (3, "t^4+t^3+2t+1"),
+              (3, "t^2+1"), (3, "t^5+2t+1"), (3, "t+2"), (5, "t^3+t^2+4t+1"),
+              (5, "t+2"), (5, "t^4+2"), (5, "t^2+t+1"), (7, "t^3+2"),
+              (7, "t+3"), (3, "t^9+t^7+2t^6+1")]
+    for q, text in primes:
+        p = parse_poly(text, q)
+        want = {((a * a) % p).coeffs
+                for a in polys_of_degree_at_most(q, p.degree - 1) if a}
+        assert square_residues(p) == want, (q, text)
+        assert len(want) == (q ** p.degree - 1) // 2
 
 
 def test_residue_symbol_large_modulus_path():

@@ -1,6 +1,7 @@
 import json
 
 from dscurves import cli, search
+from dscurves.certificate import canonical_json, verify_certificate
 from dscurves.fpoly import parse_poly
 from dscurves.localpoints import local_all, mu_witness_ok, ramified_mu
 from dscurves.splitting import QuadraticField, QuaternionData
@@ -21,6 +22,21 @@ def test_library_search_matches_cli(capsys):
     last = capsys.readouterr().out.splitlines()[-1]
     assert last.endswith("out of %d candidate(s)" % n_candidates)
     assert n_candidates == len(search.candidates(y, 3, 1))
+
+
+def test_search_certificates_verify(capsys):
+    # what search certifies, verify accepts: exit 0 for every listed VALID
+    # certificate and 1 for each INVALID one the library returns
+    assert cli.main(["search"] + WINDOW + ["--json"]) == 0
+    listed = [t["certificate"] for t in json.loads(capsys.readouterr().out)["triples"]]
+    assert listed
+    for data in listed:
+        assert verify_certificate(data) == (0, [])
+    _, results = search.search(parse_poly("t", 3), 3, 1)
+    invalid = [d for _, _, d in results if d["verdict"] != "VALID"]
+    assert invalid
+    for data in invalid:
+        assert verify_certificate(json.loads(canonical_json(data)))[0] == 1
 
 
 def test_ramified_mu_is_the_local_rule():

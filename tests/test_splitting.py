@@ -29,10 +29,15 @@ def test_quaternion_data_validation():
         QuaternionData(ram1=p, ram2=p)
     with pytest.raises(InvalidInput):
         QuaternionData(ram1=p, ram2=parse_poly("t^2+2t+1", 3))
-    # a long reducible prime is quoted as a short excerpt
+    # a long reducible prime inside the pair bound is quoted as a short
+    # excerpt
+    text = "t^9+2t^8+2t^7+2t^6+2t^5+2t^4+2t^3+2t^2+2t"
     with pytest.raises(InvalidInput, match="ram1 must be a monic irreducible") as exc:
+        QuaternionData(ram1=parse_poly(text, 3), ram2=p)
+    assert text not in str(exc.value) and len(str(exc.value)) < 200
+    # one of degree 301 is refused by the pair bound, from degrees alone
+    with pytest.raises(InvalidInput, match=r"q\^\(deg ram1 \+ deg ram2\) exceeds"):
         QuaternionData(ram1=p * parse_poly("t^300+t+2", 3), ram2=parse_poly("t", 3))
-    assert len(str(exc.value)) < 200
 
 
 def test_place_behavior_trichotomy():
