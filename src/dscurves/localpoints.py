@@ -7,9 +7,13 @@ other finite places discriminant witnesses (a, c) for x^2 - a*x + c*l.
 Places of large degree need no witness (degree-bound lemma), and a uniform
 bound m, when one exists, discharges every place of degree >= 2m + 1 so
 explicit searches stop at degree 2m.
+
+The search for m and the witness search read one table per D of the
+candidates a, with what the residue symbols at both ramified primes need
+of a^2; `witness_ok`, the rule that `verify` applies, recomputes each
+witness exactly.
 """
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,8 +39,8 @@ class LocalWitness:
 
 def _nonsplit_disc(D, disc):
     """True iff a quadratic with discriminant disc is non-split at infinity,
-    ram1 and ram2: the witness rule shared by `witness_ok` and
-    `witness_search`."""
+    ram1 and ram2: the witness rule of `witness_ok`, which `witness_search`
+    decides from its table and applies itself where that cannot."""
     if not nonsquare_at_infinity(disc):
         return False
     for r in (D.ram1, D.ram2):
@@ -116,30 +120,168 @@ def lambda_set(D, max_degree):
     return out
 
 
-def witness_search(D, l):
-    """First witness in the deterministic order (c ascending, a by degree
-    then lex); None when the bounded search space is exhausted."""
-    if l in (D.ram1, D.ram2):
-        raise InvalidInput("l must differ from the ramified primes")
-    q = D.q
-    half = l.degree // 2
-    for c in range(1, q):
-        cl4 = 4 * c * l
-        for a in polys_of_degree_at_most(q, half):
-            if _nonsplit_disc(D, a * a - cl4):
-                return LocalWitness(l=l, a=a, c=c)
-    return None
+def _level(q, i):
+    """Degree level of candidate i: level 0 is zero and the constants,
+    candidates 0 to q - 1, and level k >= 1 the (q - 1) * q^k polynomials
+    of degree k, candidates q^k to q^(k+1) - 1."""
+    k = 0
+    while q ** (k + 1) <= i:
+        k += 1
+    return k
 
 
-def _nonsquare_mask(x, units, squares):
-    """Bitmask over units: bit j is set iff x + units[j] is a nonzero
-    non-square, read from `squares`, the `square_residues` of the modulus."""
+def _candidate(q, i):
+    """The i-th polynomial of `polys_of_degree_at_most` order.  For i >= 1
+    in level k, i - q^k has the digits c_0, ..., c_(k-1) in base q, c_0
+    most significant, then c_k - 1 as its last digit, in base q - 1."""
+    if i == 0:
+        return Poly._raw(q, ())
+    k = _level(q, i)
+    j, lead = divmod(i - q ** k, q - 1)
+    cs = [lead + 1]
+    for _ in range(k):
+        j, c = divmod(j, q)
+        cs.append(c)
+    return Poly._raw(q, tuple(reversed(cs)))
+
+
+def _symbol_mask(x, units, squares):
+    """Bitmask over units, for the residue x mod a prime whose nonzero
+    squares are `squares` (its `square_residues`): bit j is set iff
+    x + units[j] is a nonzero non-square, bit len(units) + j iff it is 0."""
+    n = len(units)
     mask = 0
     for j, u in enumerate(units):
         d = x + u
-        if d and d.coeffs not in squares:
+        if not d:
+            mask |= 1 << (n + j)
+        elif d.coeffs not in squares:
             mask |= 1 << j
     return mask
+
+
+class _ResidueTable:
+    """What the symbols of a^2 - b at both ramified primes need to know of
+    each candidate a, in enumeration order, built one degree level at a
+    time on demand: `fast_m_bound` and `witness_search` read the same one.
+
+    Call p the prime with more units and s the other.  Candidate i keeps
+    a^2 mod p, packed, in `a2p[i]` and in `masks[i]` the `_symbol_mask` of
+    a^2 mod s over `units_s`.  By CRT the symbols of a^2 + r at p and at s
+    depend on r mod p and r mod s only; at s the symbol is one bit of the
+    mask, and at p one carry-free sum and one look-up in `squares_p`.
+
+    A residue mod p is packed as one int, coefficient i in the `width`-bit
+    slot i.  `add` sums two residues slot by slot, each sum below 2q, and
+    subtracts q from every slot that reached q: a slot holding v reads
+    v + 2^(width-1) - q after adding `bias`, below 2^width, so its top
+    bit, collected by `high`, is set iff v >= q, and no carry crosses a
+    slot.
+    """
+
+    def __init__(self, D):
+        q = D.q
+        p, s = ((D.ram1, D.ram2) if D.ram1.degree >= D.ram2.degree
+                else (D.ram2, D.ram1))
+        self.q, self.p, self.s = q, p, s
+        self.width = q.bit_length() + 1
+        slots = range(p.degree)
+        self.high = sum(1 << (k * self.width + self.width - 1) for k in slots)
+        self.bias = sum(((1 << (self.width - 1)) - q) << (k * self.width)
+                        for k in slots)
+        self.squares_p = frozenset(self.pack(r) for r in square_residues(p))
+        self.units_s = [r for r in polys_of_degree_at_most(q, s.degree - 1) if r]
+        self.unit_index_s = {r.coeffs: j for j, r in enumerate(self.units_s)}
+        self.a2p, self.masks = [], []
+        self.level = -1
+        self._packed = {}  # a^2 mod p coefficients -> packed, shared
+        self._masks = {}  # a^2 mod s -> mask, shared
+
+    def pack(self, coeffs):
+        return sum(c << (k * self.width) for k, c in enumerate(coeffs))
+
+    def add(self, x, y):
+        """The packed sum of two packed residues mod p."""
+        d = x + y
+        return d - (((d + self.bias) & self.high) >> (self.width - 1)) * self.q
+
+    def extend(self, level):
+        """Build the candidates up to degree level `level`."""
+        q, p, s = self.q, self.p, self.s
+        sq_s = square_residues(s)
+        while self.level < level:
+            self.level += 1
+            k = self.level
+            for i in range(q ** k if k else 0, q ** (k + 1)):
+                a = _candidate(q, i)
+                a2 = a * a
+                a2s, cs = a2 % s, (a2 % p).coeffs
+                if a2s not in self._masks:
+                    self._masks[a2s] = _symbol_mask(a2s, self.units_s, sq_s)
+                if cs not in self._packed:
+                    self._packed[cs] = self.pack(cs)
+                self.a2p.append(self._packed[cs])
+                self.masks.append(self._masks[a2s])
+
+
+# one D at a time: local_all reads one table for fast_m_bound and every
+# witness_search of its D, and a search moves on to the next D
+@lru_cache(maxsize=1)
+def _residue_table(D):
+    return _ResidueTable(D)
+
+
+def witness_search(D, l):
+    """First witness in the deterministic order (c ascending, a by degree
+    then lex, deg a <= deg l // 2); None when that space is exhausted.
+
+    It decides the rule of `_nonsplit_disc` for disc = a^2 - 4c*l from
+    `_residue_table(D)`, reducing l mod both primes once:
+    - at s the symbol is bit j of a's mask, where units_s[j] is
+      -4c*l mod s, a unit because l is coprime to s;
+    - at p it looks up (a^2 mod p) - 4c*(l mod p) in the squares;
+    - at infinity, when 2 deg a < deg l, disc has the degree and leading
+      coefficient of -4c*l, so it is non-split for every such a or for
+      none; only when 2 deg a = deg l is the exact rule needed.  When it
+      fails, only the top level deg a = deg l / 2 is scanned;
+    - a zero symbol, a^2 = 4c*l mod p or mod s, takes the exact rule,
+      which reads the valuation.
+    """
+    q = D.q
+    table = _residue_table(D)
+    lp, ls = l % table.p, l % table.s
+    if not lp or not ls:
+        raise InvalidInput("l must be coprime to the ramified primes")
+    half = l.degree // 2
+    table.extend(half)
+    count = q ** (half + 1)  # the candidates of degree <= half
+    # the first candidate with 2 deg a = deg l, if any
+    top_start = q ** half if l.degree % 2 == 0 else count
+    a2p, masks, squares_p, add = table.a2p, table.masks, table.squares_p, table.add
+    n_s = len(table.units_s)
+    for c in range(1, q):
+        cl4 = 4 * c * l
+        tp = table.pack(((-4 * c) * lp).coeffs)
+        bit = 1 << table.unit_index_s[((-4 * c) * ls).coeffs]
+        zero_bit = bit << n_s
+        for i in range(0 if nonsquare_at_infinity(-cl4) else top_start, count):
+            mask = masks[i]
+            if mask & bit:
+                d = add(a2p[i], tp)
+                if d in squares_p:
+                    continue
+                if d:
+                    # both symbols are -1
+                    a = _candidate(q, i)
+                    if i < top_start or nonsquare_at_infinity(a * a - cl4):
+                        return LocalWitness(l=l, a=a, c=c)
+                    continue
+            elif not mask & zero_bit:
+                continue
+            a = _candidate(q, i)
+            if _nonsplit_disc(D, a * a - cl4):
+                return LocalWitness(l=l, a=a, c=c)
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -155,53 +297,40 @@ def fast_m_bound(D):
     runs over the units as b_i does, so a pair is a pair of units (r, s)
     and a covers it iff a^2 + r and a^2 + s are nonzero non-squares.
 
-    Call p the prime with more units and s the other.  The candidates a
-    are built one degree level at a time, in enumeration order, and each
-    keeps a^2 mod p and a bitmask over the units of s: bit j is set iff
-    a^2 + (unit j) is a nonzero non-square mod s.  For each unit r of p,
-    `pending` holds the units of s not yet covered; a scan of the
-    candidates tests r's symbol only for an a whose mask meets `pending`,
-    then clears those bits.  The first a to clear a bit is the least a in
+    The candidates come from `_residue_table(D)`, which names the primes p
+    and s.  For each unit r of p, `pending` holds the units of s not yet
+    covered; a scan of the candidates tests r's symbol only for an a
+    whose mask meets `pending`, then clears those bits.  The first a to clear a bit is the least a in
     enumeration order, so of least degree, covering that pair: m is the
     highest level a pair needed.  A level is built only when a scan has
     used up the levels built so far, and m is None once a scan uses up
     level deg(ram1)+deg(ram2)-2.
     """
     q = D.q
-    p, s = ((D.ram1, D.ram2) if D.ram1.degree >= D.ram2.degree
-            else (D.ram2, D.ram1))
-    sq_p, sq_s = square_residues(p), square_residues(s)
-    units_p = [r for r in polys_of_degree_at_most(q, p.degree - 1) if r]
-    units_s = [r for r in polys_of_degree_at_most(q, s.degree - 1) if r]
-    top = p.degree + s.degree - 2
-    polys = polys_of_degree_at_most(q, top)
-    masks = {}  # a^2 mod s -> mask over units_s
-    cands = []  # (level, a^2 mod p, mask), in enumeration order
-    level = -1
-    worst = 0
+    table = _residue_table(D)
+    top = D.ram1.degree + D.ram2.degree - 2
+    limit = q ** (top + 1)  # the candidates of degree <= top
+    units_p = [table.pack(r.coeffs)
+               for r in polys_of_degree_at_most(q, table.p.degree - 1) if r]
+    a2p, masks, squares_p, add = table.a2p, table.masks, table.squares_p, table.add
+    worst, above = 0, q  # the first candidate above level worst
     for r in units_p:
-        pending = (1 << len(units_s)) - 1
+        pending = (1 << len(table.units_s)) - 1
         i = 0
         while pending:
-            if i == len(cands):
-                if level == top:
-                    return None
-                level += 1
-                # level 0 is zero and the constants, level k the q^k*(q-1)
-                # polynomials of degree k
-                for a in itertools.islice(polys, (q - 1) * q ** level if level else q):
-                    a2 = a * a
-                    a2s = a2 % s
-                    if a2s not in masks:
-                        masks[a2s] = _nonsquare_mask(a2s, units_s, sq_s)
-                    cands.append((level, a2 % p, masks[a2s]))
-            adeg, a2p, bits = cands[i]
-            i += 1
+            if i == limit:
+                return None
+            if i == len(masks):
+                table.extend(table.level + 1)
+            bits = masks[i]
             if pending & bits:
-                d = a2p + r
-                if d and d.coeffs not in sq_p:
-                    worst = max(worst, adeg)
+                d = add(a2p[i], r)
+                if d and d not in squares_p:
+                    if i >= above:
+                        worst = _level(q, i)
+                        above = q ** (worst + 1)
                     pending &= ~bits
+            i += 1
     return worst
 
 

@@ -4,8 +4,9 @@ For a monic irreducible y, the admissible quadratics X^2 + a1*X + mu*y
 (deg a1 <= deg(y)/2, mu a unit, discriminant a non-square in the completion
 at infinity) are the minimal polynomials of the Frobenius classes pi the
 non-existence criterion quantifies over.  The key computation is the exact
-power pi^(2n) - y^n in A[pi] and its norm down to A; a ramified prime is
-"excluded" when it divides none of the nonzero norms.
+norm N(pi^(2n) - y^n) in A, read from the trace of pi^n in A[pi] (see
+`dset`); a ramified prime is "excluded" when it divides none of the
+nonzero norms.
 """
 
 from dataclasses import dataclass
@@ -142,15 +143,6 @@ def norm(x):
     return x.u * x.u - w.a1 * x.u * x.v + w.const_term * x.v * x.v
 
 
-def frobenius_test_element(w):
-    """pi^(2n) - y^n computed exactly in A[pi], n the Frobenius exponent."""
-    q = w.q
-    n = exponent_n(q, 2)
-    pi = QuadExtElem(u=Poly.zero(q), v=Poly.one(q), modulus=w)
-    power = ext_pow(pi, 2 * n)
-    return QuadExtElem(u=power.u - w.y ** n, v=power.v, modulus=w)
-
-
 @dataclass(frozen=True)
 class NormEntry:
     """Norm of pi^(2n) - y^n for one admissible quadratic."""
@@ -202,6 +194,15 @@ def dset(y):
     The discriminant scales by the square c^2, so the orbit stays inside
     `enumerate_weil`.
 
+    Each norm comes from the trace of pi^n, not from pi^(2n):
+    - write pi^n = u + v*pi; its conjugate is u + v*pibar, and
+      pi + pibar = -a1, so V = Tr(pi^n) = 2u - a1*v;
+    - pi*pibar = mu*y and (q - 1) | n, so (pi*pibar)^n = y^n;
+    - hence Tr(pi^(2n)) = V^2 - 2*y^n, and
+      N(pi^(2n) - y^n) = (pi*pibar)^(2n) - y^n*Tr(pi^(2n)) + y^(2n)
+                       = y^n * (4*y^n - V^2).
+    y^n is computed once per call.
+
     An entry is zero iff a1 = 0:
     - (if) pi^2 = -mu*y and (q - 1) | n, so pi^(2n) = (-mu)^n * y^n = y^n.
     - (only if) The discriminant is a non-square at infinity, so the
@@ -214,11 +215,15 @@ def dset(y):
     """
     check_norm_degree(y)
     q = y.q
+    n = exponent_n(q, 2)
+    yn = y ** n
     norms = {}
     entries = []
     for w in enumerate_weil(y):
         if (w.a1, w.mu) not in norms:
-            value = norm(frobenius_test_element(w))
+            power = ext_pow(QuadExtElem(u=Poly.zero(q), v=Poly.one(q), modulus=w), n)
+            trace = 2 * power.u - w.a1 * power.v
+            value = yn * (4 * yn - trace * trace)
             for c in range(1, q):
                 norms[c * w.a1, c * c * w.mu % q] = value
         entries.append(NormEntry(source=w, value=norms[w.a1, w.mu]))
@@ -256,7 +261,21 @@ def norm_statuses(p, y):
 
 def p_excluded(p, y):
     """True iff p divides no nonzero norm entry for y, i.e. p avoids every
-    prime divisor of the norm set.  Stops at the first entry p divides."""
+    prime divisor of the norm set.  Stops at the first entry p divides.
+
+    No p of degree 1 is excluded.  Reduce mod p: the norm commutes with
+    reduction, so p divides N(pi^(2n) - y^n) iff the norm of its image in
+    R = F_q[X]/(X^2 + a1*X + mu*y) is 0.  y is a nonzero constant mod
+    p != y, so y^n = 1 since (q - 1) | n, and pi is a unit of R, whose
+    norm is mu*y.  R is F_{q^2}, F_q x F_q or F_q[eps]/(eps^2):
+    - in the first two every unit u has u^(q^2 - 1) = 1, and
+      (q^2 - 1) | 2n, so pi^(2n) - y^n = 0;
+    - in the third pi = alpha + eps with alpha in F_q^x, the double root,
+      so pi^(2n) - y^n = 2n*alpha^(2n-1)*eps, a multiple of
+      eps = pi - alpha, whose norm is the quadratic at alpha: 0.
+    So p divides every norm, and every y has a nonzero one (a1 = 1 with
+    mu chosen so that 1 - 4*mu*y is a non-square at infinity).
+    """
     return all(status != "divides" for _, status in norm_statuses(p, y))
 
 

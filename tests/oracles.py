@@ -1,5 +1,8 @@
 """Exact oracles shared by the test modules."""
 
+from dscurves.fpoly import Poly
+from dscurves.weil import QuadExtElem, exponent_n, ext_pow
+
 
 def _prime_divisors(n):
     out = []
@@ -29,3 +32,13 @@ def gauss_irreducible_count(q, n):
     degree n over F_q: the count oracle of the sieve `monic_irreducibles`."""
     total = sum(mobius(d) * q ** (n // d) for d in range(1, n + 1) if n % d == 0)
     return total // n
+
+
+def frobenius_test_element(w):
+    """pi^(2n) - y^n computed exactly in A[pi], n the Frobenius exponent:
+    with `weil.norm`, the per-entry oracle of `weil.dset`'s norms."""
+    q = w.q
+    n = exponent_n(q, 2)
+    pi = QuadExtElem(u=Poly.zero(q), v=Poly.one(q), modulus=w)
+    power = ext_pow(pi, 2 * n)
+    return QuadExtElem(u=power.u - w.y ** n, v=power.v, modulus=w)

@@ -15,6 +15,8 @@ from dscurves.fpoly import Poly, format_poly, parse_poly
 from dscurves.splitting import (QuadraticField, QuaternionData,
                                 nonexistence_criterion)
 
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+
 
 def run(argv, capsys):
     code = cli.main(argv)
@@ -94,6 +96,20 @@ def test_certify_verify_cycle(tmp_path, capsys):
     path.write_text(json.dumps(data))
     code, _, err = run(["verify", str(path)], capsys)
     assert code == 3
+
+
+def test_verify_refuses_a_long_n_poly_from_its_degree(capsys, tmp_path):
+    # n_poly's degree bound comes before its square-free test, which is
+    # quadratic in the degree: 2.5 s at degree 4000 without the bound
+    data = json.loads((REFERENCE / "cert0.json").read_text())
+    rng = random.Random(4000)
+    n_poly = Poly(3, [rng.randrange(3) for _ in range(4000)] + [1])
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(dict(data, n_poly=format_poly(n_poly))))
+    t0 = time.perf_counter()
+    code, _, err = run(["verify", str(path)], capsys)
+    assert code == 3 and "n_poly has degree 4000, above 1000" in err
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_verify_unreadable_file(capsys, tmp_path):

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
+from dscurves import fpoly, localpoints
 from dscurves.errors import InvalidInput
 from dscurves.fpoly import (Poly, monic_irreducibles, parse_poly,
                             polys_of_degree_at_most, residue_symbol)
 from dscurves.localpoints import (LocalWitness, fast_m_bound, lambda_cutoff,
                                   lambda_set, local_all, mu_witness_ok,
-                                  witness_ok, witness_search)
+                                  witness_cutoff, witness_ok, witness_search)
 from dscurves.splitting import QuadraticField, QuaternionData
 
 
@@ -17,6 +18,20 @@ def table_D(q, ptxt, stxt):
 
 def table_K(q, D, eps=1):
     return QuadraticField(eps=eps, radical=parse_poly("t", q) * D.ram1 * D.ram2)
+
+
+def witness_oracle(D, l):
+    """The witness search by its definition: every (c, a) in the
+    deterministic order (c ascending, a by degree then lex, deg a at most
+    deg l // 2), each discriminant a^2 - 4c*l checked by the exact rule
+    that `witness_ok` applies."""
+    q = D.q
+    for c in range(1, q):
+        cl4 = 4 * c * l
+        for a in polys_of_degree_at_most(q, l.degree // 2):
+            if localpoints._nonsplit_disc(D, a * a - cl4):
+                return LocalWitness(l=l, a=a, c=c)
+    return None
 
 
 def test_witness_ok_checks_all_conditions():
@@ -53,6 +68,9 @@ def test_witness_search_rejects_ramified_prime():
     D = table_D(q, "t^3+t^2+t+2", "t+1")
     with pytest.raises(InvalidInput):
         witness_search(D, D.ram1)
+    # a multiple of a ramified prime has no unit -4c*l mod that prime
+    with pytest.raises(InvalidInput):
+        witness_search(D, D.ram2 * parse_poly("t", q))
 
 
 def test_local_ramified_prime_table_case():
@@ -125,6 +143,15 @@ def random_Ds(q, count, rng):
     return out
 
 
+def window_Ds(q, max_deg1, max_deg2):
+    """Every pair of distinct primes with deg ram1 <= max_deg1 and
+    deg ram2 <= max_deg2."""
+    return [QuaternionData(ram1=p, ram2=s)
+            for d1 in range(1, max_deg1 + 1) for p in monic_irreducibles(q, d1)
+            for d2 in range(1, max_deg2 + 1) for s in monic_irreducibles(q, d2)
+            if p != s]
+
+
 def test_fast_m_bound_matches_oracle():
     rng = random.Random(5)
     # the table pairs, a pair with no uniform bound, and random pairs
@@ -135,9 +162,7 @@ def test_fast_m_bound_matches_oracle():
     assert ms == [m_bound_oracle(D) for D in Ds]
     assert None in ms
     # every pair of the q = 7 window deg ram1 <= 2, deg ram2 <= 1
-    window = [QuaternionData(ram1=p, ram2=s)
-              for d in (1, 2) for p in monic_irreducibles(7, d)
-              for s in monic_irreducibles(7, 1) if p != s]
+    window = window_Ds(7, 2, 1)
     window_ms = [fast_m_bound(D) for D in window]
     assert window_ms == [m_bound_oracle(D) for D in window]
     assert len(window) == 189 and window_ms.count(None) == 42
@@ -182,3 +207,49 @@ def test_local_all_rejects_nonsplitting_field():
             break
     else:
         pytest.skip("no splitting radical of degree 2")
+
+
+def test_candidates_follow_the_enumeration_order():
+    # witness_search decodes a candidate from its index in the table
+    for q in (3, 5, 7):
+        assert ([localpoints._candidate(q, i) for i in range(q ** 4)]
+                == list(polys_of_degree_at_most(q, 3)))
+
+
+def sieve_degree(q):
+    """The largest d with q^d within the sieve's limit."""
+    d = 1
+    while q ** (d + 1) <= fpoly._MAX_SIEVE:
+        d += 1
+    return d
+
+
+@pytest.mark.parametrize("q, max_deg1, max_deg2", [(3, 4, 2), (5, 3, 1), (7, 2, 1)])
+def test_witness_search_matches_oracle_on_windows(q, max_deg1, max_deg2):
+    # every place up to the witness cutoff of every pair of the window
+    for D in window_Ds(q, max_deg1, max_deg2):
+        for l in lambda_set(D, witness_cutoff(D, fast_m_bound(D))):
+            assert witness_search(D, l) == witness_oracle(D, l), (D, l)
+
+
+def test_witness_search_matches_oracle_on_table_pairs():
+    # every place up to lambda_cutoff, or the sieve's limit below it
+    for row in TABLE:
+        D = table_D(*row)
+        for l in lambda_set(D, min(lambda_cutoff(D), sieve_degree(D.q))):
+            assert witness_search(D, l) == witness_oracle(D, l), (D, l)
+
+
+def test_places_above_twice_m_have_witnesses():
+    # the lemma layer a certificate trusts: a VALID certificate records
+    # witnesses up to degree 2m only, since the uniform bound m discharges
+    # the places of degree 2m + 1 up to lambda_cutoff.  Check that every
+    # such place has a witness anyway, up to the sieve's limit
+    for row in TABLE:
+        D = table_D(*row)
+        m = fast_m_bound(D)
+        assert m is not None
+        top = min(lambda_cutoff(D), sieve_degree(D.q))
+        places = [l for l in lambda_set(D, top) if l.degree > 2 * m]
+        assert places
+        assert all(witness_search(D, l) is not None for l in places), row

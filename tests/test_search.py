@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from dscurves import cli, search
@@ -7,6 +8,11 @@ from dscurves.localpoints import local_all, mu_witness_ok, ramified_mu
 from dscurves.splitting import QuadraticField, QuaternionData
 
 WINDOW = ["--field-order", "3", "--max-deg1", "3", "--max-deg2", "1"]
+
+# sha256 of `search --field-order 5 --max-deg1 3 --max-deg2 1 --json`: it
+# pins the witness order and the m-bound at q = 5, as the benchmark's
+# reference search pins them at q = 3
+SEARCH_Q5_SHA256 = "cd43462bc783010852ebb8b5eb7d623f96810c2e7e123f58cae8659fb9d7d262"
 
 
 def test_library_search_matches_cli(capsys):
@@ -54,3 +60,10 @@ def test_ramified_mu_is_the_local_rule():
             # the rule depends on mu only through its square class
             assert (mu is not None) == any(mu_witness_ok(D, which, m)
                                            for m in range(1, q))
+
+
+def test_search_q5_output_is_pinned(capsys):
+    assert cli.main(["search", "--field-order", "5", "--max-deg1", "3",
+                     "--max-deg2", "1", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_Q5_SHA256

@@ -5,11 +5,11 @@ import pytest
 import sympy
 
 from dscurves.errors import InvalidInput, ModulusMismatch
-from dscurves.fpoly import Poly, parse_poly, residue_symbol
+from dscurves.fpoly import Poly, monic_irreducibles, parse_poly, residue_symbol
 from dscurves.weil import (NormEntry, QuadExtElem, WeilPoly, dset,
-                           enumerate_weil, exponent_n, ext_mul, ext_pow,
-                           frobenius_test_element, lq, nonsquare_at_infinity,
-                           norm, p_excluded, pset)
+                           enumerate_weil, exponent_n, ext_mul, ext_pow, lq,
+                           nonsquare_at_infinity, norm, p_excluded, pset)
+from oracles import frobenius_test_element
 
 X, T = sympy.symbols("x T")
 
@@ -178,9 +178,10 @@ NORM_CASES = ((3, "t"), (3, "t^2+1"), (3, "t^3+2t+1"), (5, "t"), (5, "t^2+2"),
 
 
 def test_dset_orbit_norms_match_per_entry_oracle():
-    # dset computes one norm per orbit (c*a1, c^2*mu); the oracle computes
-    # every entry's norm on its own
-    for q, ytxt in NORM_CASES:
+    # dset computes one norm per orbit (c*a1, c^2*mu) from the trace of
+    # pi^n; the oracle computes every entry's norm of pi^(2n) - y^n on its
+    # own.  A degree-6 y at q = 3 adds the largest norms of the cases
+    for q, ytxt in NORM_CASES + ((3, "t^6+t+2"),):
         y = parse_poly(ytxt, q)
         entries = dset(y)
         assert [e.source for e in entries] == list(enumerate_weil(y))
@@ -220,6 +221,15 @@ def test_p_excluded_negative_cases():
     y = parse_poly("t", 3)
     assert not p_excluded(parse_poly("t+1", 3), y)
     assert not p_excluded(parse_poly("t+2", 3), y)
+
+
+def test_no_prime_of_degree_1_is_excluded():
+    # a lemma the criterion rests on (proof in p_excluded's docstring)
+    for q, ytxt in NORM_CASES:
+        y = parse_poly(ytxt, q)
+        for p in monic_irreducibles(q, 1):
+            if p != y:
+                assert not p_excluded(p, y)
 
 
 def test_p_excluded_rejects_p_equal_y():
