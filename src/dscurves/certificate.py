@@ -6,8 +6,9 @@ with K = F(sqrt(eps * y * ram1 * ram2 * n_poly)).  Verification rebuilds
 the certificate from its inputs with the builder that certify uses, then
 compares every field; witnesses are re-checked, never re-searched.
 
-Serialization is canonical JSON: sorted keys, exact integers, polynomials as
-canonical text, LF line endings.  Serializing twice yields identical bytes.
+Serialization is canonical JSON: sorted keys, indent 2, ASCII, exact
+integers, polynomials as canonical text and a trailing LF.  Serializing
+twice yields identical bytes.
 """
 
 import json
@@ -89,8 +90,19 @@ class HasseCertificate:
         return canonical_json(self.data)
 
 
+# the canonical JSON format, for every writer
+_CANONICAL = {"sort_keys": True, "indent": 2, "ensure_ascii": True}
+
+
 def canonical_json(data):
-    return json.dumps(data, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    return json.dumps(data, **_CANONICAL) + "\n"
+
+
+def write_canonical_json(data, fh):
+    """Write the bytes of canonical_json(data) to the text file fh, streamed
+    piece by piece instead of built as one string."""
+    json.dump(data, fh, **_CANONICAL)
+    fh.write("\n")
 
 
 def _certificate_data(D, y, n_poly, K, recorded=None):

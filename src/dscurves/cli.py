@@ -16,8 +16,8 @@ import re
 import sys
 
 from . import ffield
-from .certificate import (VALID, SchemaError, canonical_json,
-                          hasse_certificate, verify_certificate)
+from .certificate import (VALID, SchemaError, hasse_certificate,
+                          verify_certificate, write_canonical_json)
 from .errors import InvalidInput, ParseError, excerpt
 from .fpoly import format_poly, parse_poly
 from .localpoints import local_all
@@ -129,7 +129,8 @@ def cmd_wset(args):
                      "minimal_poly": str(w), "discriminant": format_poly(disc),
                      "classification": reason})
     if args.json:
-        print(canonical_json({"field_order": q, "y": format_poly(y), "weil": rows}), end="")
+        write_canonical_json({"field_order": q, "y": format_poly(y), "weil": rows},
+                             sys.stdout)
     else:
         for row in rows:
             print("%s  disc=%s (%s)" % (row["minimal_poly"], row["discriminant"],
@@ -146,9 +147,9 @@ def cmd_pcheck(args):
              "status": status} for entry, status in norm_statuses(p, y)]
     excluded = all(row["status"] != "divides" for row in rows)
     if args.json:
-        print(canonical_json({"field_order": q, "y": format_poly(y),
+        write_canonical_json({"field_order": q, "y": format_poly(y),
                               "p": format_poly(p), "excluded": excluded,
-                              "entries": rows}), end="")
+                              "entries": rows}, sys.stdout)
     else:
         for row in rows:
             print("%-40s %s" % (row["weil"], row["status"]))
@@ -162,9 +163,10 @@ def cmd_pset(args):
     y = _parse(args.y, q, "y")
     primes = pset(y, seed=args.seed)
     if args.json:
-        print(canonical_json({"field_order": q, "y": format_poly(y),
+        write_canonical_json({"field_order": q, "y": format_poly(y),
                               "seed": args.seed,
-                              "pset": [format_poly(p) for p in primes]}), end="")
+                              "pset": [format_poly(p) for p in primes]},
+                             sys.stdout)
     else:
         for p in primes:
             print(format_poly(p))
@@ -190,7 +192,7 @@ def cmd_criterion(args):
     report = nonexistence_criterion(D, y, K)
     payload = dict(report.to_dict(), failures=list(report.failures))
     if args.json:
-        print(canonical_json(payload), end="")
+        write_canonical_json(payload, sys.stdout)
     else:
         for key in ("field_splits", "y_ramified", "ram1_excluded",
                     "ram2_excluded", "mu_obstruction"):
@@ -208,7 +210,7 @@ def cmd_local(args):
     K = _field_args(args, q)
     report = local_all(D, K)
     if args.json:
-        print(canonical_json(report.to_dict()), end="")
+        write_canonical_json(report.to_dict(), sys.stdout)
     else:
         print("infinity        %s" % ("ok" if report.infinity_ok else "FAIL"))
         for name, ok, mu in (("ram1", report.ram1_ok, report.ram1_mu),
@@ -233,13 +235,12 @@ def cmd_certify(args):
     y = _parse(args.y, q, "y")
     n_poly = _parse(args.n_poly, q, "n-poly")
     cert = hasse_certificate(D, y, n_poly, args.eps)
-    text = cert.to_json()
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
+            write_canonical_json(cert.data, fh)
         print("certificate written to %s: %s" % (args.out, cert.verdict))
     else:
-        print(text, end="")
+        write_canonical_json(cert.data, sys.stdout)
     return EXIT_OK if cert.valid else EXIT_FALSE
 
 
@@ -271,12 +272,12 @@ def cmd_search(args):
                                    workers=args.threads)
     triples = [(a, b, d) for a, b, d in results if d["verdict"] == VALID]
     if args.json:
-        print(canonical_json({
+        write_canonical_json({
             "field_order": q, "y": format_poly(y),
             "max_deg1": args.max_deg1, "max_deg2": args.max_deg2,
             "triples": [{"ram1": a, "ram2": b, "certificate": d}
                         for a, b, d in triples],
-        }), end="")
+        }, sys.stdout)
     else:
         for a, b, _ in triples:
             print("(%d, %s, %s)  VALID" % (q, a, b))

@@ -20,10 +20,8 @@ from functools import lru_cache
 from . import ffield
 from .errors import InvalidInput
 from .fpoly import (Poly, format_poly, monic_irreducibles,
-                    polys_of_degree_at_most, residue_symbol, square_residues,
-                    valuation)
-from .splitting import (QuadraticField, SplitType, field_splits_quaternion,
-                        place_behavior)
+                    polys_of_degree_at_most, square_residues)
+from .splitting import splits_quaternion
 from .weil import nonsquare_at_infinity
 
 
@@ -38,17 +36,11 @@ class LocalWitness:
 
 
 def _nonsplit_disc(D, disc):
-    """True iff a quadratic with discriminant disc is non-split at infinity,
-    ram1 and ram2: the witness rule of `witness_ok`, which `witness_search`
-    decides from its table and applies itself where that cannot."""
-    if not nonsquare_at_infinity(disc):
-        return False
-    for r in (D.ram1, D.ram2):
-        symbol = residue_symbol(disc, r)
-        # symbol +1 means r does not divide disc: valuation 0, so split
-        if symbol == 1 or (symbol == 0 and valuation(disc, r) % 2 == 0):
-            return False
-    return True
+    """True iff F(sqrt(disc)) is non-split at infinity, ram1 and ram2: the
+    rule of `splits_quaternion` plus infinity.  It is the witness rule of
+    `witness_ok`, which `witness_search` decides from its table and
+    applies itself where that cannot, and the mu-witness rule."""
+    return nonsquare_at_infinity(disc) and splits_quaternion(D, disc)
 
 
 def witness_ok(D, w):
@@ -64,15 +56,12 @@ def witness_ok(D, w):
 def mu_witness_ok(D, which, mu):
     """True iff mu is a reduced unit, 0 < mu < q, with neither the other
     ramified prime nor infinity split in F(sqrt(mu*r)), r the prime named
-    by `which`."""
+    by `which`.  r divides mu*r exactly once, so r ramifies in
+    F(sqrt(mu*r)) and `_nonsplit_disc` reads only the other prime and
+    infinity."""
     if which not in ("ram1", "ram2"):
         raise InvalidInput("which must be 'ram1' or 'ram2'")
-    r, s = (D.ram1, D.ram2) if which == "ram1" else (D.ram2, D.ram1)
-    if not 0 < mu < D.q:
-        return False
-    aux = QuadraticField(eps=mu, radical=r)
-    return (place_behavior(s, aux) != SplitType.SPLIT
-            and nonsquare_at_infinity(aux.radicand))
+    return 0 < mu < D.q and _nonsplit_disc(D, mu * getattr(D, which))
 
 
 def ramified_mu(D, which):
@@ -85,8 +74,9 @@ def ramified_mu(D, which):
 
 def _local_ramified_prime(D, K, which, recorded):
     """(ok, mu-witness or None) above the ramified prime r named by `which`:
-    K splits D, so r is inert in K and needs nothing, or ramified."""
-    if place_behavior(getattr(D, which), K) == SplitType.INERT:
+    K splits D, so r is not split in K; it is inert, needing nothing, when
+    it does not divide K's radical, and ramified otherwise."""
+    if not (K.radical % getattr(D, which)).is_zero:
         return True, None
     if recorded is None:
         mu = ramified_mu(D, which)
@@ -389,7 +379,7 @@ def local_all(D, K, recorded=None):
     witness when the rule accepts it, so the report states what the
     recorded witnesses establish.  Only its mu and witnesses are read.
     """
-    if not field_splits_quaternion(K, D):
+    if not splits_quaternion(D, K.radicand):
         raise InvalidInput("K does not split the quaternion algebra")
     infinity_ok = nonsquare_at_infinity(K.radicand)
     ram1_ok, ram1_mu = _local_ramified_prime(D, K, "ram1", recorded)

@@ -1,26 +1,22 @@
-"""Splitting behavior of places in quadratic extensions of F_q(t), quaternion
-splitting tests, and the global non-existence criterion for d = 2.
+"""Quadratic extensions of F_q(t), the quaternion splitting rule and the
+global non-existence criterion for d = 2.
 
 A quadratic extension K = F(sqrt(eps * radical)) is described by a unit eps
 and a monic square-free radical.  A quaternion division algebra split at
-infinity is described purely by its two finite ramified primes; every
-predicate needed here factors through splitting behavior at places.
+infinity is described purely by its two finite ramified primes.  One
+predicate, `splits_quaternion(D, x)`, decides whether F(sqrt(x)) splits D;
+the criterion asks it of x = the radicand of K and of x = mu*y, and the
+local battery of x = mu*r and of the discriminants a^2 - 4c*l, adding
+infinity.
 """
 
-import enum
 from dataclasses import dataclass, field
 
 from . import ffield
 from .errors import InvalidInput
 from .fpoly import (Poly, format_poly, is_squarefree, require_monic_irreducible,
-                    residue_symbol)
+                    residue_symbol, valuation)
 from .weil import p_excluded
-
-
-class SplitType(enum.Enum):
-    SPLIT = "split"
-    INERT = "inert"
-    RAMIFIED = "ramified"
 
 
 @dataclass(frozen=True)
@@ -95,24 +91,22 @@ class QuaternionData:
         return self.ram1.q
 
 
-def place_behavior(l, K):
-    """Behavior of the finite place l in K: ramified if l divides the radical,
-    split if eps*radical is a square mod l, inert otherwise."""
-    if (K.radical % l).is_zero:
-        return SplitType.RAMIFIED
-    return SplitType.SPLIT if residue_symbol(K.radicand, l) == 1 else SplitType.INERT
-
-
-def field_splits_quaternion(K, D):
-    """K splits D iff neither ramified prime splits in K."""
-    return (place_behavior(D.ram1, K) != SplitType.SPLIT
-            and place_behavior(D.ram2, K) != SplitType.SPLIT)
+def splits_quaternion(D, x):
+    """True iff F(sqrt(x)) splits D, x nonzero: neither ramified prime r
+    splits in it.  r splits when x is a nonzero square mod r, and is
+    counted as split when r divides x to an even power, since the unit
+    part x / r^v is not read: a conservative rule.  An odd power ramifies
+    r, and a non-square mod r leaves it inert."""
+    for r in (D.ram1, D.ram2):
+        symbol = residue_symbol(x, r)
+        if symbol == 1 or (symbol == 0 and valuation(x, r) % 2 == 0):
+            return False
+    return True
 
 
 def mu_y_obstruction(D, y):
-    """True iff every F(sqrt(mu*y)) fails to split D, i.e. for each square
-    class mu some ramified prime splits in F(sqrt(mu*y))."""
-    return not any(field_splits_quaternion(QuadraticField(eps=mu, radical=y), D)
+    """True iff no F(sqrt(mu*y)), mu a square class, splits D."""
+    return not any(splits_quaternion(D, mu * y)
                    for mu in ffield.square_class_reps(D.q))
 
 
@@ -167,7 +161,9 @@ def nonexistence_criterion(D, y, K):
     Returns a CriterionReport; failures list the hypotheses that do not hold,
     in their stated order.  The excluded-prime tests come before any
     residue symbol: `dset(y)` refuses a y beyond its norm bound, then a y
-    that is not a monic irreducible.
+    that is not a monic irreducible.  K's radical is square-free, so a
+    ramified prime divides the radicand at most once and the even case of
+    `splits_quaternion` never arises here.
     """
     if K.q != D.q or y.q != D.q:
         raise InvalidInput("mismatched field orders")
@@ -175,8 +171,8 @@ def nonexistence_criterion(D, y, K):
         raise InvalidInput("y must differ from the ramified primes")
     r1_ex = p_excluded(D.ram1, y)
     r2_ex = p_excluded(D.ram2, y)
-    splits = field_splits_quaternion(K, D)
-    y_ram = place_behavior(y, K) == SplitType.RAMIFIED
+    splits = splits_quaternion(D, K.radicand)
+    y_ram = (K.radical % y).is_zero
     mu_ob = mu_y_obstruction(D, y)
     flags = {
         "field_splits": splits,

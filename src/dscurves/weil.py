@@ -91,7 +91,6 @@ def check_weil_count(y):
                            % (_MAX_WEIL_COUNT, q, y.degree))
 
 
-@lru_cache(maxsize=None)
 def enumerate_weil(y):
     """All admissible quadratics for y (d = 2), grouped by a1 then mu.
 
@@ -281,10 +280,9 @@ def p_excluded(p, y):
 
 def pset(y, seed=0):
     """The full excluded-prime set: prime divisors of nonzero norm entries,
-    deduplicated and sorted."""
+    deduplicated and sorted.  Each distinct norm is factored once: the
+    entries of an orbit (see `dset`) share theirs."""
     primes = set()
-    for entry in dset(y):
-        if not entry.is_zero:
-            for f, _ in factor(entry.value, seed=seed).factors:
-                primes.add(f)
+    for value in {entry.value for entry in dset(y) if not entry.is_zero}:
+        primes.update(f for f, _ in factor(value, seed=seed).factors)
     return sorted(primes, key=lambda f: f.sort_key())

@@ -1,6 +1,7 @@
 """Exact oracles shared by the test modules."""
 
-from dscurves.fpoly import Poly
+from dscurves.fpoly import Poly, monic_irreducibles
+from dscurves.splitting import QuaternionData
 from dscurves.weil import QuadExtElem, exponent_n, ext_pow
 
 
@@ -42,3 +43,12 @@ def frobenius_test_element(w):
     pi = QuadExtElem(u=Poly.zero(q), v=Poly.one(q), modulus=w)
     power = ext_pow(pi, 2 * n)
     return QuadExtElem(u=power.u - w.y ** n, v=power.v, modulus=w)
+
+
+def window_Ds(q, max_deg1, max_deg2):
+    """Every pair of distinct primes with deg ram1 <= max_deg1 and
+    deg ram2 <= max_deg2."""
+    return [QuaternionData(ram1=p, ram2=s)
+            for d1 in range(1, max_deg1 + 1) for p in monic_irreducibles(q, d1)
+            for d2 in range(1, max_deg2 + 1) for s in monic_irreducibles(q, d2)
+            if p != s]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -63,6 +64,64 @@ def test_criterion_and_local(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["ok"] and not data["unwitnessed"]
+
+
+# The (3, t^3+t^2+t+2, t+1) triple with y = t, whose K has the radicand
+# y * ram1 * ram2; t^2+t+2 is a K that fails the criterion and the
+# battery, and t+2 one in which t+1 splits, so `local` refuses it
+R1, R2 = "t^3+t^2+t+2", "t+1"
+Y_ARGS = ["--field-order", "3", "--y", "t"]
+CRITERION_ARGS = Y_ARGS + ["--ram1", R1, "--ram2", R2]
+LOCAL_ARGS = ["--field-order", "3", "--ram1", R1, "--ram2", R2]
+
+# (subcommand, arguments, exit code, sha256 of stdout as text, with --json);
+# an exit 2 prints nothing to stdout
+SUBCOMMAND_PINS = [
+    ("wset", Y_ARGS, 0,
+     "5c31056352f6175c602a6552888f00b1c17ccf0c0d27e1a3e35e834f1f0be610",
+     "70f463806b19ca6e226ba333cda554a30811f1bfda1784176d53d14da6dbc80b"),
+    ("pcheck", Y_ARGS + ["--p", R1], 0,
+     "7df9097b358540df2039f7ca01c83479fa94f3c6457aee0d0ea77c7530d330e6",
+     "cf4aaca85347e3fd5834bdaeee0caf4748f2e833833c96f279c1e39eb1be47cc"),
+    ("pset", Y_ARGS, 0,
+     "30282c414f018e3a25ebe3b5732e39c27d61edd781523ccad3a65e3e7e6e02c4",
+     "17b27cfeab7aa353f94d516ca446a50b05d975854990ae4c6d15c980520e5482"),
+    ("criterion", CRITERION_ARGS + ["--radicand", "t^5+2t^4+2t^3+2t"], 0,
+     "a2c529195e07494447541bed94e139776dec4e17f99b074b2de2e7b9ba2e2b55",
+     "b35599332973b7999f3e9f558206bfd4b41e247b33b670d33db1dd0c3ae9f354"),
+    ("local", LOCAL_ARGS + ["--radicand", "t^5+2t^4+2t^3+2t"], 0,
+     "4426de5ec1bca6ab13c07eff255505a44c3f82cb97eb60c38517eb9deaf87c8c",
+     "d41227b89471332befbb29bce387e5a260612ff4d21476e199e514c6bc044c2c"),
+    ("criterion", CRITERION_ARGS + ["--radicand", "t^2+t+2"], 1,
+     "74e1719d0ba1e14d49a1660d1451bd9402cf713ace4dfa4cd539044fe85ce0dc",
+     "bcdf41ee94f18465a3952a750ce0ec505c31b55b05bb09d042594128b2ff14fa"),
+    ("local", LOCAL_ARGS + ["--radicand", "t^2+t+2"], 1,
+     "144d5cd40aa6041730b01257ffc0b5b80e2f6766f913321c8ac2df6b31a852db",
+     "cb5ca3c680c22d7f48136d4455b44c14a17562fd85f19d6b92703b324ee7f4de"),
+    ("criterion", CRITERION_ARGS + ["--radicand", "t+2"], 1,
+     "3496bfc1c96e1d3ea008af329773dc77fe84af54368b8628872858f9b9a55df4",
+     "1eb5d7cc9d425d088c97a21dc036ce6b258f9ca9bae80a0bd7fd08725323ab4e"),
+    ("local", LOCAL_ARGS + ["--radicand", "t+2"], 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+@pytest.mark.parametrize("command, args, code, text_sha, json_sha", SUBCOMMAND_PINS)
+def test_subcommand_output_is_pinned(capsys, command, args, code, text_sha, json_sha):
+    for extra, want in (([], text_sha), (["--json"], json_sha)):
+        got, out, _ = run([command] + args + extra, capsys)
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, want), extra
+
+
+def test_certify_writes_the_reference_bytes(capsys, tmp_path):
+    argv = ["certify"] + CRITERION_ARGS
+    path = tmp_path / "cert.json"
+    assert run(argv + ["--out", str(path)], capsys)[0] == 0
+    reference = (REFERENCE / "cert0.json").read_bytes()
+    assert path.read_bytes() == reference
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and out.encode() == reference
 
 
 def test_certify_verify_cycle(tmp_path, capsys):
@@ -196,7 +255,6 @@ def test_each_input_gets_one_irreducibility_test(capsys, monkeypatch, tmp_path):
             (["pcheck", "--field-order", "3", "--y", "t", "--p", "t^3+t^2+t+2"], 2),
             (["wset", "--field-order", "3", "--y", "t"], 1)):
         weil.dset.cache_clear()
-        weil.enumerate_weil.cache_clear()
         calls.clear()
         code, _, _ = run(argv, capsys)
         assert code == 0 and len(calls) == want, (argv[0], len(calls))

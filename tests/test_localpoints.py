@@ -11,6 +11,8 @@ from dscurves.localpoints import (LocalWitness, fast_m_bound, lambda_cutoff,
                                   witness_cutoff, witness_ok, witness_search)
 from dscurves.splitting import QuadraticField, QuaternionData
 
+from oracles import window_Ds
+
 
 def table_D(q, ptxt, stxt):
     return QuaternionData(ram1=parse_poly(ptxt, q), ram2=parse_poly(stxt, q))
@@ -143,15 +145,6 @@ def random_Ds(q, count, rng):
     return out
 
 
-def window_Ds(q, max_deg1, max_deg2):
-    """Every pair of distinct primes with deg ram1 <= max_deg1 and
-    deg ram2 <= max_deg2."""
-    return [QuaternionData(ram1=p, ram2=s)
-            for d1 in range(1, max_deg1 + 1) for p in monic_irreducibles(q, d1)
-            for d2 in range(1, max_deg2 + 1) for s in monic_irreducibles(q, d2)
-            if p != s]
-
-
 def test_fast_m_bound_matches_oracle():
     rng = random.Random(5)
     # the table pairs, a pair with no uniform bound, and random pairs
@@ -197,11 +190,9 @@ def test_local_all_rejects_nonsplitting_field():
     q = 3
     D = table_D(q, "t^3+t^2+t+2", "t+1")
     # a field in which ram2 = t+1 splits cannot split D
-    from dscurves.fpoly import monic_irreducibles
-    from dscurves.splitting import SplitType, place_behavior
     for r in monic_irreducibles(q, 2):
         K = QuadraticField(eps=1, radical=r)
-        if place_behavior(D.ram2, K) == SplitType.SPLIT:
+        if residue_symbol(K.radicand, D.ram2) == 1:
             with pytest.raises(InvalidInput):
                 local_all(D, K)
             break
@@ -253,3 +244,22 @@ def test_places_above_twice_m_have_witnesses():
         places = [l for l in lambda_set(D, top) if l.degree > 2 * m]
         assert places
         assert all(witness_search(D, l) is not None for l in places), row
+
+
+@pytest.mark.parametrize("q, max_deg1, max_deg2, pairs, places",
+                         [(3, 3, 2, 54, 35784), (5, 2, 1, 50, 9500)])
+def test_places_above_twice_m_have_witnesses_on_windows(q, max_deg1, max_deg2,
+                                                        pairs, places):
+    # the same lemma layer for every pair of a small window that has an m;
+    # larger windows (q = 7 (2, 1), q = 3 (4, 2), q = 5 (3, 1)) pass as well
+    # but take 8 to 63 s
+    checked = []
+    for D in window_Ds(q, max_deg1, max_deg2):
+        m = fast_m_bound(D)
+        if m is None:
+            continue
+        top = min(lambda_cutoff(D), sieve_degree(D.q))
+        above = [l for l in lambda_set(D, top) if l.degree > 2 * m]
+        assert all(witness_search(D, l) is not None for l in above), D
+        checked.append(len(above))
+    assert (len(checked), sum(checked)) == (pairs, places)

@@ -1,11 +1,12 @@
 import pytest
 
 from dscurves.errors import InvalidInput
-from dscurves.fpoly import parse_poly, residue_symbol
-from dscurves.splitting import (QuadraticField, QuaternionData, SplitType,
-                                field_splits_quaternion, mu_y_obstruction,
-                                nonexistence_criterion, place_behavior)
+from dscurves.fpoly import parse_poly, polys_of_degree_at_most, residue_symbol
+from dscurves.splitting import (QuadraticField, QuaternionData, mu_y_obstruction,
+                                nonexistence_criterion, splits_quaternion)
 from dscurves.weil import nonsquare_at_infinity
+
+from oracles import window_Ds
 
 
 def K_of(q, eps, radtxt):
@@ -40,34 +41,40 @@ def test_quaternion_data_validation():
         QuaternionData(ram1=p * parse_poly("t^300+t+2", 3), ram2=parse_poly("t", 3))
 
 
-def test_place_behavior_trichotomy():
-    q = 3
-    K = K_of(q, 1, "t")
-    assert place_behavior(parse_poly("t", q), K) == SplitType.RAMIFIED
-    # t is a square mod t^2+1?  t = t, symbol decides
-    for ltxt in ("t+1", "t+2", "t^2+1", "t^3+2t+1"):
-        l = parse_poly(ltxt, q)
-        sym = residue_symbol(K.radicand, l)
-        want = SplitType.SPLIT if sym == 1 else SplitType.INERT
-        assert place_behavior(l, K) == want
+def square_roots(x, r):
+    """The number of z mod r with z^2 = x, by brute force."""
+    return sum(1 for z in polys_of_degree_at_most(r.q, r.degree - 1)
+               if ((z * z - x) % r).is_zero)
 
 
-def test_place_behavior_exhaustive_small():
-    # splitting matches the count of square roots of the radicand mod l
-    q = 5
-    K = K_of(q, 2, "t^2+2")
-    from dscurves.fpoly import monic_irreducibles, polys_of_degree_at_most
-    for deg in (1, 2):
-        for l in monic_irreducibles(q, deg):
-            roots = sum(1 for x in polys_of_degree_at_most(q, deg - 1)
-                        if ((x * x - K.radicand) % l).is_zero)
-            b = place_behavior(l, K)
-            if (K.radicand % l).is_zero:
-                assert b == SplitType.RAMIFIED
-            elif roots == 2:
-                assert b == SplitType.SPLIT
-            else:
-                assert roots == 0 and b == SplitType.INERT
+def splits_oracle(D, x):
+    """`splits_quaternion` from its definition, with no residue symbol: r
+    counts as split when r divides x to an even power v, and for v = 0
+    when x has two square roots mod r."""
+    for r in (D.ram1, D.ram2):
+        unit, v = x, 0
+        while (unit % r).is_zero:
+            unit, v = unit // r, v + 1
+        if v % 2 == 0 and (v > 0 or square_roots(unit, r) == 2):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("q, max_deg1, max_deg2", [(3, 2, 1), (5, 1, 1)])
+def test_splits_quaternion_matches_root_count_oracle(q, max_deg1, max_deg2):
+    # x, x*r and x*r^2 for each ramified prime r run all three branches:
+    # a nonzero residue, an odd valuation and an even one
+    xs = [x for x in polys_of_degree_at_most(q, 2) if x]
+    seen = set()
+    for D in window_Ds(q, max_deg1, max_deg2):
+        for x in xs:
+            for r in (D.ram1, D.ram2):
+                for k in range(3):
+                    xr = x * r ** k
+                    got = splits_quaternion(D, xr)
+                    assert got == splits_oracle(D, xr), (D, xr)
+                    seen.add((k, got))
+    assert seen == {(k, got) for k in range(3) for got in (True, False)}
 
 
 def test_infinity_behavior():
@@ -86,12 +93,12 @@ def test_field_splits_quaternion_table_case():
     # radical = y * ram1 * ram2 ramifies both primes, so K splits D
     rad = parse_poly("t", q) * D.ram1 * D.ram2
     K = QuadraticField(eps=1, radical=rad)
-    assert field_splits_quaternion(K, D)
+    assert splits_quaternion(D, K.radicand)
     # a field where ram2 splits does not split D
     K2 = K_of(q, 1, "t^2+t+2")
-    if place_behavior(D.ram1, K2) == SplitType.SPLIT or \
-       place_behavior(D.ram2, K2) == SplitType.SPLIT:
-        assert not field_splits_quaternion(K2, D)
+    if (residue_symbol(K2.radicand, D.ram1) == 1
+            or residue_symbol(K2.radicand, D.ram2) == 1):
+        assert not splits_quaternion(D, K2.radicand)
 
 
 def test_mu_y_obstruction_known_triples():

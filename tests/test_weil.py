@@ -5,7 +5,7 @@ import pytest
 import sympy
 
 from dscurves.errors import InvalidInput, ModulusMismatch
-from dscurves.fpoly import Poly, monic_irreducibles, parse_poly, residue_symbol
+from dscurves.fpoly import Poly, factor, monic_irreducibles, parse_poly
 from dscurves.weil import (NormEntry, QuadExtElem, WeilPoly, dset,
                            enumerate_weil, exponent_n, ext_mul, ext_pow, lq,
                            nonsquare_at_infinity, norm, p_excluded, pset)
@@ -248,6 +248,22 @@ def test_pset_consistency():
     for p in ps:
         if p != y:
             assert not p_excluded(p, y)
+
+
+def pset_oracle(y, seed=0):
+    """pset by factoring every nonzero entry of dset(y), orbit or not."""
+    primes = set()
+    for entry in dset(y):
+        if not entry.is_zero:
+            for f, _ in factor(entry.value, seed=seed).factors:
+                primes.add(f)
+    return sorted(primes, key=lambda f: f.sort_key())
+
+
+@pytest.mark.parametrize("ytxt", ["t", "t^2+1"])
+def test_pset_factors_each_distinct_norm_once(ytxt):
+    y = parse_poly(ytxt, 3)
+    assert pset(y) == pset_oracle(y)
 
 
 def test_pset_deterministic():
