@@ -270,22 +270,28 @@ def cmd_search(args):
     y = _parse(args.y, q, "y")
     n_candidates, results = search(y, args.max_deg1, args.max_deg2,
                                    workers=args.threads)
-    triples = [(a, b, d) for a, b, d in results if d["verdict"] == VALID]
+    # certificates arrive one at a time; only the VALID ones that --json
+    # prints are kept, and names otherwise
+    valid, rejected = [], []
+    for a, b, d in results:
+        if d["verdict"] == VALID:
+            valid.append((a, b, d if args.json else None))
+        else:
+            rejected.append((a, b))
     if args.json:
         write_canonical_json({
             "field_order": q, "y": format_poly(y),
             "max_deg1": args.max_deg1, "max_deg2": args.max_deg2,
             "triples": [{"ram1": a, "ram2": b, "certificate": d}
-                        for a, b, d in triples],
+                        for a, b, d in valid],
         }, sys.stdout)
     else:
-        for a, b, _ in triples:
+        for a, b, _ in valid:
             print("(%d, %s, %s)  VALID" % (q, a, b))
-        for a, b, d in results:
-            if d["verdict"] != VALID:
-                print("(%d, %s, %s)  rejected at certification" % (q, a, b))
+        for a, b in rejected:
+            print("(%d, %s, %s)  rejected at certification" % (q, a, b))
         print("found %d violating pair(s) out of %d candidate(s)"
-              % (len(triples), n_candidates))
+              % (len(valid), n_candidates))
     return EXIT_OK
 
 

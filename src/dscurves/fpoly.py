@@ -2,9 +2,12 @@
 
 Polynomials are immutable dense coefficient tuples (index i = coefficient of
 t^i).  The zero polynomial is the empty tuple and reports degree -1.
-Products are exact at every field order: a product with a short factor
-runs schoolbook on Python ints, and any other is one Kronecker-substituted
-big-int product (see `_mul_coeffs`).
+Products are exact at every field order.  A product of two short factors
+runs schoolbook on Python ints; any other is one Kronecker-substituted
+big-int product, whose factors go in and come out through one `struct`
+call each, in slots of 1, 2, 4 or 8 bytes (see `_mul_coeffs`).  Sums,
+differences, negation and scalar products are one comprehension over the
+coefficients each.
 
 Beyond ring arithmetic this module provides one square-and-multiply loop
 for every power, Ben-Or's irreducibility test (the first step of
@@ -17,18 +20,24 @@ import itertools
 import operator
 import random
 import re
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import ffield
 from .errors import FieldMismatch, InvalidInput, ParseError, excerpt
 
-# a product whose shorter factor has at most this many coefficients runs
-# schoolbook; above it one Kronecker product is faster.  Measured with
-# CPython 3.11 on one core of a 2-vCPU machine, at q = 3, 7 and 3037000493:
-# square products break even at 10-14 coefficients, and a short factor
-# times one of 4600 coefficients at 4-8
-_SCHOOLBOOK_MAX = 8
+# a product whose longer factor has at most this many coefficients runs
+# schoolbook; any other is one Kronecker product.  Kronecker time over
+# schoolbook time, measured with CPython 3.11 on one core of a 2-vCPU
+# machine at q = 3, 7 and 3037000493 (below 1 Kronecker is faster):
+# squares break even at 5-6 coefficients (0.8-1.5 at 6x6, 0.5-0.9 at
+# 8x8), 2x6 is 1.2-1.5 and 5x7 0.7-1.1, and a thin factor times a long one
+# favours Kronecker (2x60: 0.4-1.0, 1x4600: 0.45-0.8, 4x4600: 0.2-0.6)
+_SCHOOLBOOK_MAX = 6
+
+# struct code of an unsigned slot of 1, 2, 4 and 8 bytes
+_SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 class Poly:
@@ -120,28 +129,38 @@ class Poly:
         a, b, q = self.coeffs, other.coeffs, self.q
         if len(a) < len(b):
             a, b = b, a
-        cs = list(a)
-        for i, c in enumerate(b):
-            cs[i] = (cs[i] + c) % q
+        cs = [(x + y) % q for x, y in zip(a, b)]
+        if len(a) > len(b):
+            return Poly._raw(q, tuple(cs) + a[len(b):])
         while cs and cs[-1] == 0:
             cs.pop()
         return Poly._raw(q, tuple(cs))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        a, b, q = self.coeffs, other.coeffs, self.q
+        cs = [(x - y) % q for x, y in zip(a, b)]
+        if len(a) > len(b):
+            return Poly._raw(q, tuple(cs) + a[len(b):])
+        if len(a) < len(b):
+            return Poly._raw(q, tuple(cs + [-y % q for y in b[len(a):]]))
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return Poly._raw(q, tuple(cs))
 
     def __neg__(self):
         q = self.q
-        return Poly._raw(q, tuple((q - c) % q for c in self.coeffs))
+        return Poly._raw(q, tuple([-c % q for c in self.coeffs]))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            c = other % self.q
+            q = self.q
+            c = other % q
             if c == 0:
-                return Poly._raw(self.q, ())
+                return Poly._raw(q, ())
             if c == 1:
                 return self
-            return Poly._raw(self.q, tuple((x * c) % self.q for x in self.coeffs))
+            return Poly._raw(q, tuple([x * c % q for x in self.coeffs]))
         self._check(other)
         return Poly._raw(self.q, _mul_coeffs(self.coeffs, other.coeffs, self.q))
 
@@ -200,25 +219,45 @@ def _mul_coeffs(a, b, q):
     multiplies once and reads slot i back mod q.  Slot i of the product holds
     the exact sum of at most min(len a, len b) products c * d with
     0 <= c, d < q, so it is at most min(len) * (q-1)^2 < 2^(8k): no carry
-    crosses a slot, at any q."""
+    crosses a slot, at any q.
+
+    k is that bound's byte length rounded up to 1, 2, 4 or 8, so one
+    `struct.pack` with the little-endian code B, H, I or Q packs a whole
+    factor and one `struct.unpack` reads every slot back; the "<" prefix
+    fixes size and byte order on every platform, and `from_bytes` and
+    `to_bytes` read and write those bytes little-endian to match.  A bound
+    of 2^64 or more (q above 2^32 at one coefficient, above about 2^26 at
+    4600) keeps slots of exactly k bytes, packed and read one coefficient
+    at a time."""
     if not a or not b:
         return ()
     if len(a) > len(b):
         a, b = b, a
-    if len(a) <= _SCHOOLBOOK_MAX:
+    if len(b) <= _SCHOOLBOOK_MAX:
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
-        return tuple(c % q for c in out)
-    k = (len(a) * (q - 1) ** 2).bit_length() // 8 + 1
-    packed_a = int.from_bytes(b"".join([c.to_bytes(k, "little") for c in a]), "little")
-    packed_b = int.from_bytes(b"".join([c.to_bytes(k, "little") for c in b]), "little")
-    size = (len(a) + len(b) - 1) * k
-    slots = (packed_a * packed_b).to_bytes(size, "little")
-    return tuple([int.from_bytes(slots[i:i + k], "little") % q
-                  for i in range(0, size, k)])
+        return tuple([c % q for c in out])
+    k = ((len(a) * (q - 1) ** 2).bit_length() + 7) // 8
+    size = len(a) + len(b) - 1
+    if k <= 8:
+        k = 1 << (k - 1).bit_length()
+        fmt = "<%d" + _SLOT_CODES[k]
+        packed_a = int.from_bytes(struct.pack(fmt % len(a), *a), "little")
+        packed_b = int.from_bytes(struct.pack(fmt % len(b), *b), "little")
+        slots = struct.unpack(fmt % size,
+                              (packed_a * packed_b).to_bytes(size * k, "little"))
+    else:
+        packed_a = int.from_bytes(b"".join([c.to_bytes(k, "little") for c in a]),
+                                  "little")
+        packed_b = int.from_bytes(b"".join([c.to_bytes(k, "little") for c in b]),
+                                  "little")
+        prod = (packed_a * packed_b).to_bytes(size * k, "little")
+        slots = [int.from_bytes(prod[i:i + k], "little")
+                 for i in range(0, size * k, k)]
+    return tuple([c % q for c in slots])
 
 
 def poly_gcd(f, g):

@@ -65,13 +65,15 @@ def _certify_pair(job):
 def search(y, max_deg1, max_deg2, workers=1):
     """Certify every candidate pair that passes the cheap filters.
 
-    Returns (number of candidates, results), where results lists
+    Returns (number of candidates, results), where results yields
     (ram1 text, ram2 text, certificate dict) in candidate order, VALID and
-    INVALID alike.  `workers` > 1 certifies in that many processes; the
-    results are the same.
+    INVALID alike, each certified as it is read, so a caller holds only
+    the certificates it keeps.  `workers` > 1 certifies in that many
+    processes; the results are the same.
 
-    The cheap filters may reject every pair without computing dset(y), so
-    y is checked here: its norm bound, then its irreducibility test.
+    The checks, the candidates and the cheap filters run at call time.  The
+    cheap filters may reject every pair without computing dset(y), so y is
+    checked here: its norm bound, then its irreducibility test.
     """
     check_norm_degree(y)
     require_monic_irreducible(y, "y")
@@ -79,10 +81,16 @@ def search(y, max_deg1, max_deg2, workers=1):
     jobs = [(y.q, format_poly(p), format_poly(s), format_poly(y))
             for p, s in pairs
             if passes_cheap_filters(QuaternionData(ram1=p, ram2=s), y)]
+    return len(pairs), _certify_all(jobs, workers)
+
+
+def _certify_all(jobs, workers):
+    """Yield `_certify_pair` of each job in order, from a pool of `workers`
+    processes when there are that many and more than one job."""
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_certify_pair, jobs))
+            yield from pool.map(_certify_pair, jobs)
     else:
-        results = [_certify_pair(job) for job in jobs]
-    return len(pairs), results
+        for job in jobs:
+            yield _certify_pair(job)

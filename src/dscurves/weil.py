@@ -157,10 +157,10 @@ class NormEntry:
 # largest total norm degree of dset(y): the number of entries times the
 # degree of each, although dset computes one norm per orbit.  Measured
 # whole dset on CPython 3.11, one core of a 2-vCPU machine: q = 7, y = t
-# (42 * 4608 = 193536, the largest in the paper's table) takes 0.23-0.34 s,
-# q = 5, y = t^2+2 (100 * 2304 = 230400) 0.33 s and q = 3, y = t^6+t+2
-# (124416) 0.32-0.40 s.  Refused: q = 7, y = t^2+1 (2.7e6, 3.1-3.5 s),
-# q = 11, y = t (3.2e6, 3.4 s) and a degree-16 y at q = 3 (8.1e7)
+# (42 * 4608 = 193536, the largest in the paper's table) takes 0.04-0.05 s,
+# q = 5, y = t^2+2 (100 * 2304 = 230400) 0.06-0.07 s and q = 3, y = t^6+t+2
+# (124416) 0.05-0.08 s.  Refused: q = 7, y = t^2+1 (2.7e6, 0.7 s),
+# q = 11, y = t (3.2e6, 0.9 s) and a degree-16 y at q = 3 (8.1e7)
 _MAX_NORM_TOTAL = 250000
 
 

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 import time
 
@@ -64,17 +65,31 @@ def test_mul_matches_sympy_random():
             assert f * g == want
 
 
+def slot_width(n, m, q):
+    """How `_mul_coeffs` forms a product of n and m coefficients:
+    "schoolbook", a Kronecker slot of 1, 2, 4 or 8 bytes, or "wide".  A
+    slot must hold min(n, m) * (q-1)^2, the largest sum of products it
+    receives."""
+    if max(n, m) <= fpoly._SCHOOLBOOK_MAX:
+        return "schoolbook"
+    bound = min(n, m) * (q - 1) ** 2
+    return next((w for w in (1, 2, 4, 8) if bound < 256 ** w), "wide")
+
+
 def test_large_mul_matches_schoolbook():
-    # the in-test schoolbook oracle against both sides of the crossover, a
-    # thin factor times a long one, squares, and a long product; at
-    # q = 3037000493 (q-1)^2 alone is near 2^63, and 1099511627689 is the
-    # largest prime validate_field_order accepts
+    # the in-test schoolbook oracle against both sides of the crossover (the
+    # longer factor at the cut and one above it, thin or square), a thin
+    # factor times a long one, squares and a long product, at field orders
+    # that land in every slot width: q = 3037000493 puts (q-1)^2 just below
+    # 2^63, and 1099511627689 is the largest prime validate_field_order
+    # accepts
     rng = random.Random(3)
     cut = fpoly._SCHOOLBOOK_MAX
-    sizes = ((cut, cut), (cut + 1, cut + 1), (cut, 60), (cut + 1, 60),
-             (2, 4600), (200, 200), (300, None))
-    cases = [(q, n, m) for q in (3, 7, 3037000493, 1099511627689)
+    sizes = ((cut, cut), (cut + 1, cut + 1), (1, cut), (1, cut + 1), (2, cut + 1),
+             (2, 60), (60, 60), (2, 4600), (200, 200), (300, None))
+    cases = [(q, n, m) for q in (3, 7, 1009, 65537, 3037000493, 1099511627689)
              for n, m in sizes] + [(7, 1500, 1500)]
+    widths = set()
     for q, n, m in cases:
         f = Poly(q, [rng.randrange(q) for _ in range(n - 1)] + [rng.randrange(1, q)])
         g = f if m is None else Poly(
@@ -85,6 +100,45 @@ def test_large_mul_matches_schoolbook():
                 out[i + j] += ai * bj
         slow = tuple(c % q for c in out)
         assert (f * g).coeffs == slow == (g * f).coeffs, (q, n, m)
+        widths.add(slot_width(len(f.coeffs), len(g.coeffs), q))
+    assert widths == {"schoolbook", 1, 2, 4, 8, "wide"}
+
+
+def test_linear_kernels_match_per_coefficient_oracle():
+    # +, -, unary - and int * Poly against coefficient-wise arithmetic:
+    # unequal lengths both ways, equal lengths that cancel to zero or to a
+    # lower degree, and the zero polynomial
+    rng = random.Random(9)
+
+    def oracle(op, a, b, q):
+        n = max(len(a), len(b))
+        cs = [op(x, y) % q for x, y in zip(a + [0] * (n - len(a)),
+                                           b + [0] * (n - len(b)))]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return tuple(cs)
+
+    for q in (3, 7, 3037000493):
+        def rand(n):
+            return [rng.randrange(q) for _ in range(n - 1)] + [rng.randrange(1, q)]
+
+        f = rand(8)
+        neg_f = [-c % q for c in f]
+        pairs = [([], []), ([], rand(5)), (rand(5), []), (rand(3), rand(9)),
+                 (rand(9), rand(3)), (rand(6), rand(6)), (f, f), (f, neg_f),
+                 (f, rand(4) + f[4:]), (f, rand(4) + neg_f[4:])]
+        for a, b in pairs:
+            fa, fb = Poly(q, a), Poly(q, b)
+            assert (fa + fb).coeffs == oracle(operator.add, a, b, q), (q, a, b)
+            assert (fa - fb).coeffs == oracle(operator.sub, a, b, q), (q, a, b)
+            assert (-fa).coeffs == oracle(operator.sub, [], a, q), (q, a)
+            for c in (0, 1, 2, q - 1, q + 2, -1):
+                want = oracle(operator.mul, a, [c] * len(a), q)
+                assert (c * fa).coeffs == want == (fa * c).coeffs, (q, a, c)
+        assert (Poly(q, f) - Poly(q, f)).is_zero
+        assert (Poly(q, f) + Poly(q, neg_f)).is_zero
+        assert (Poly(q, f) - Poly(q, rand(4) + f[4:])).degree < 4
+        assert (Poly(q, f) + Poly(q, rand(4) + neg_f[4:])).degree < 4
 
 
 def test_divmod_invariant_random():

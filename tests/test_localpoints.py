@@ -263,3 +263,25 @@ def test_places_above_twice_m_have_witnesses_on_windows(q, max_deg1, max_deg2,
         assert all(witness_search(D, l) is not None for l in above), D
         checked.append(len(above))
     assert (len(checked), sum(checked)) == (pairs, places)
+
+
+@pytest.mark.parametrize("q, max_deg1, max_deg2, pairs, with_m, places",
+                         [(3, 2, 1, 15, 0, 4728), (5, 1, 1, 20, 0, 16280),
+                          (3, 2, 2, 30, 6, 28848)])
+def test_places_past_lambda_cutoff_have_witnesses(q, max_deg1, max_deg2,
+                                                  pairs, with_m, places):
+    # evidence for the constant of the degree-bound lemma, not a proof: a
+    # certificate records no witness above lambda_cutoff, since the lemma
+    # gives every place of larger degree local points.  Check the places 1
+    # to 3 degrees past it, up to the sieve's limit, for every pair of three
+    # small windows.  No pair of the first two has an m, so their
+    # certificates stop at lambda_cutoff exactly; six of the third do
+    checked = []
+    for D in window_Ds(q, max_deg1, max_deg2):
+        cutoff = lambda_cutoff(D)
+        past = [l for l in lambda_set(D, min(cutoff + 3, sieve_degree(q)))
+                if l.degree > cutoff]
+        assert all(witness_search(D, l) is not None for l in past), D
+        checked.append((len(past), fast_m_bound(D) is not None))
+    assert (len(checked), sum(m for _, m in checked),
+            sum(n for n, _ in checked)) == (pairs, with_m, places)

@@ -18,7 +18,7 @@ SEARCH_Q5_SHA256 = "cd43462bc783010852ebb8b5eb7d623f96810c2e7e123f58cae8659fb9d7
 def test_library_search_matches_cli(capsys):
     y = parse_poly("t", 3)
     n_candidates, results = search.search(y, 3, 1, workers=1)
-    valid = [(a, b, d) for a, b, d in results if d["verdict"] == "VALID"]
+    valid = [(a, b, d) for a, b, d in list(results) if d["verdict"] == "VALID"]
 
     assert cli.main(["search"] + WINDOW + ["--json"]) == 0
     triples = json.loads(capsys.readouterr().out)["triples"]
@@ -39,7 +39,7 @@ def test_search_certificates_verify(capsys):
     for data in listed:
         assert verify_certificate(data) == (0, [])
     _, results = search.search(parse_poly("t", 3), 3, 1)
-    invalid = [d for _, _, d in results if d["verdict"] != "VALID"]
+    invalid = [d for _, _, d in list(results) if d["verdict"] != "VALID"]
     assert invalid
     for data in invalid:
         assert verify_certificate(json.loads(canonical_json(data)))[0] == 1
