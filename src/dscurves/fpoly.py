@@ -12,8 +12,8 @@ coefficients each.
 Beyond ring arithmetic this module provides one square-and-multiply loop
 for every power, Ben-Or's irreducibility test (the first step of
 distinct-degree factorization), a sieve of monic irreducibles, seeded
-Cantor-Zassenhaus factorization, the quadratic residue symbol, valuations,
-and the text grammar shared with the CLI.
+Cantor-Zassenhaus factorization, the residue symbol by reciprocity, squares
+mod a prime (for the local scan only), valuations and the CLI's grammar.
 """
 
 import itertools
@@ -317,6 +317,12 @@ def require_monic_irreducible(f, name):
 _MAX_SIEVE = 10 ** 5
 
 
+def power_exceeds(q, k, bound, factor=1):
+    """True iff factor * q^k > bound, for factor >= 1.  q^k >= 2^k, so a k
+    of bound's bit length or more exceeds it without computing the power."""
+    return k >= bound.bit_length() or factor * q ** k > bound
+
+
 @lru_cache(maxsize=None)
 def monic_irreducibles(q, degree):
     """All monic irreducibles of the given degree, in lexicographic order of
@@ -331,8 +337,7 @@ def monic_irreducibles(q, degree):
     irreducibles unmarked."""
     if degree < 1:
         raise InvalidInput("degree must be >= 1")
-    # q^degree >= 2^degree: a degree this large fails without the power
-    if degree >= _MAX_SIEVE.bit_length() or q ** degree > _MAX_SIEVE:
+    if power_exceeds(q, degree, _MAX_SIEVE):
         raise InvalidInput("monic irreducibles of degree %d at q = %d: "
                            "q^degree exceeds %d" % (degree, q, _MAX_SIEVE))
     composite = bytearray(q ** degree)
@@ -467,12 +472,9 @@ def is_squarefree(f):
     return (not d.is_zero) and poly_gcd(f, d).degree == 0
 
 
-# residue_symbol looks its answer up in square_residues(p) up to this many
-# residues, and above it uses Euler's criterion, which needs no table
-_SQUARE_TABLE_CAP = 8192
-
-
-@lru_cache(maxsize=None)
+# the two primes of the D whose local-battery table is built: a search
+# certifies its pairs grouped by ram1, so ram1's set is reused
+@lru_cache(maxsize=2)
 def square_residues(p):
     """The nonzero squares mod the monic irreducible p, as a frozenset of
     the canonical coefficient tuples (`Poly.coeffs`) of their reductions.
@@ -487,20 +489,22 @@ def square_residues(p):
 
 
 def residue_symbol(a, p):
-    """Quadratic residue symbol (a/p) in {-1, 0, +1} for monic irreducible p."""
-    r = a % p
-    if r.is_zero:
-        return 0
+    """Quadratic residue symbol (a/p) in {-1, 0, +1} for irreducible p, by
+    Euclid's algorithm and reciprocity (Rosen, Number Theory in Function
+    Fields, ch. 3): with chi the quadratic character of F_q, sgn the leading
+    coefficient and u = sgn(r)^(deg p) sgn(p)^(deg r) (-1)^(deg r deg p),
+    (r/p) = chi(u) (p mod r / r) for coprime r, p; chi(u) if r is constant."""
     q = p.q
-    if q ** p.degree <= _SQUARE_TABLE_CAP:
-        return 1 if r.coeffs in square_residues(p) else -1
-    e = (q ** p.degree - 1) // 2
-    s = powmod(r, e, p)
-    if s == Poly.one(q):
-        return 1
-    if s == Poly.constant(q, q - 1):
-        return -1
-    raise InvalidInput("residue symbol modulus is not irreducible: %s" % format_poly(p))
+    r, unit = a % p, 1
+    while r:
+        if p.degree % 2:
+            unit = unit * r.coeffs[-1] % q
+        if r.degree % 2:
+            unit = unit * (-p.coeffs[-1] if p.degree % 2 else p.coeffs[-1]) % q
+        if not r.degree:
+            return 1 if pow(unit, (q - 1) // 2, q) == 1 else -1
+        p, r = r, p % r
+    return 0
 
 
 def valuation(f, p):

@@ -180,6 +180,7 @@ class _ResidueTable:
         self.bias = sum(((1 << (self.width - 1)) - q) << (k * self.width)
                         for k in slots)
         self.squares_p = frozenset(self.pack(r) for r in square_residues(p))
+        self.squares_s = square_residues(s)
         self.units_s = [r for r in polys_of_degree_at_most(q, s.degree - 1) if r]
         self.unit_index_s = {r.coeffs: j for j, r in enumerate(self.units_s)}
         self.a2p, self.masks = [], []
@@ -197,8 +198,7 @@ class _ResidueTable:
 
     def extend(self, level):
         """Build the candidates up to degree level `level`."""
-        q, p, s = self.q, self.p, self.s
-        sq_s = square_residues(s)
+        q, p, s, sq_s = self.q, self.p, self.s, self.squares_s
         while self.level < level:
             self.level += 1
             k = self.level

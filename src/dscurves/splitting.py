@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 from . import ffield
 from .errors import InvalidInput
-from .fpoly import (Poly, format_poly, is_squarefree, require_monic_irreducible,
-                    residue_symbol, valuation)
+from .fpoly import (Poly, format_poly, is_squarefree, power_exceeds,
+                    require_monic_irreducible, residue_symbol, valuation)
 from .weil import p_excluded
 
 
@@ -62,9 +62,7 @@ def check_pair_count(q, deg1, deg2):
     """InvalidInput unless q^(deg1 + deg2) is at most _MAX_RESIDUE_PAIRS,
     for ramified primes of degrees deg1 and deg2.  It reads degrees only,
     so it answers at once, before any prime is known to be irreducible."""
-    k = max(deg1 + deg2, 0)
-    # q^k >= 2^k: a k this large fails without computing the power
-    if k >= _MAX_RESIDUE_PAIRS.bit_length() or q ** k > _MAX_RESIDUE_PAIRS:
+    if power_exceeds(q, max(deg1 + deg2, 0), _MAX_RESIDUE_PAIRS):
         raise InvalidInput("q^(deg ram1 + deg ram2) exceeds %d at q = %d, "
                            "degrees %d and %d"
                            % (_MAX_RESIDUE_PAIRS, q, deg1, deg2))

@@ -16,7 +16,7 @@ from math import gcd, lcm
 from . import ffield
 from .errors import InvalidInput, ModulusMismatch
 from .fpoly import (Poly, factor, format_poly, polys_of_degree_at_most, power,
-                    require_monic_irreducible)
+                    power_exceeds, require_monic_irreducible)
 
 
 def lq(q, d):
@@ -84,8 +84,7 @@ def check_weil_count(y):
     """InvalidInput unless enumerate_weil(y) tests at most _MAX_WEIL_COUNT
     pairs (a1, mu).  It reads degrees only, so it answers at once at any q."""
     q, k = y.q, y.degree // 2 + 1
-    # q^k >= 2^k: a k this large fails without computing the power
-    if k >= _MAX_WEIL_COUNT.bit_length() or (q - 1) * q ** k > _MAX_WEIL_COUNT:
+    if power_exceeds(q, k, _MAX_WEIL_COUNT, q - 1):
         raise InvalidInput("admissible quadratics for y: more than %d pairs "
                            "(a1, mu) at q = %d, deg y = %d"
                            % (_MAX_WEIL_COUNT, q, y.degree))
@@ -170,9 +169,8 @@ def check_norm_degree(y):
     (a1, mu), each of degree at most 2n * deg y with n = (q^2 - 1)^2.  It
     reads degrees only, so it answers at once at any q."""
     q, k = y.q, y.degree // 2 + 1
-    # q^k >= 2^k: a k this large fails without computing the power
-    if (k >= _MAX_NORM_TOTAL.bit_length() or (q - 1) * q ** k
-            * 2 * exponent_n(q, 2) * y.degree > _MAX_NORM_TOTAL):
+    if power_exceeds(q, k, _MAX_NORM_TOTAL,
+                     (q - 1) * 2 * exponent_n(q, 2) * y.degree):
         raise InvalidInput("total norm degree of dset(y) exceeds %d at q = %d, "
                            "deg y = %d" % (_MAX_NORM_TOTAL, q, y.degree))
 

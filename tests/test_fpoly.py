@@ -258,7 +258,9 @@ def test_factor_matches_sympy_multiset():
             if f.degree < 1:
                 continue
             got = sorted((p.coeffs, e) for p, e in factor(f).factors)
-            _, slist = sympy.factor_list(to_sympy(f))
+            # Poly.factor_list, not sympy.factor_list: the latter sorts
+            # ModularInteger factors, a deprecated comparison
+            _, slist = to_sympy(f).factor_list()
             want = sorted((from_sympy(p.monic(), q).coeffs, e) for p, e in slist)
             assert got == want
 
@@ -317,16 +319,47 @@ def test_square_residues_matches_squaring_every_residue():
         assert len(want) == (q ** p.degree - 1) // 2
 
 
-def test_residue_symbol_large_modulus_path():
-    # degree high enough to skip the lookup table
-    q = 3
-    p = parse_poly("t^9+t^7+2t^6+1", q)
-    assert is_irreducible(p)
-    a = parse_poly("t+1", q)
-    table_free = residue_symbol(a, p)
-    e = (q ** p.degree - 1) // 2
-    s = powmod(a, e, p)
-    assert (s == Poly.one(q)) == (table_free == 1)
+def test_residue_symbol_matches_euler_criterion():
+    # random irreducible p on both sides of q^deg p = 8192, where an older
+    # symbol switched from a square table to Euler's criterion, and for each
+    # a random a of degree up to 2 deg p + 1 (most not monic), a multiple of
+    # p, a nonzero constant and a scalar multiple of p + 1, each also mod the
+    # non-monic c * p
+    rng = random.Random(12)
+    cases = ([(3, d) for d in range(1, 10)] + [(5, d) for d in range(1, 6)]
+             + [(7, d) for d in range(1, 5)] + [(1000003, 1), (1000003, 2)])
+    for q, deg in cases:
+        for _ in range(8):
+            while True:
+                p = Poly(q, [rng.randrange(q) for _ in range(deg)] + [1])
+                if is_irreducible(p):
+                    break
+            c = rng.randrange(2, q)
+            inputs = [random_poly(q, 2 * deg + 1, rng),
+                      p * random_poly(q, 3, rng, nonzero=True),
+                      Poly.constant(q, rng.randrange(1, q)),
+                      (p + Poly.one(q)) * c]
+            for a in inputs:
+                r = a % p
+                if r.is_zero:
+                    want = 0
+                else:
+                    s = powmod(r, (q ** deg - 1) // 2, p)
+                    assert s in (Poly.one(q), Poly.constant(q, q - 1))
+                    want = 1 if s == Poly.one(q) else -1
+                assert residue_symbol(a, p) == want, (q, a, p)
+                assert residue_symbol(a, p * c) == want, (q, a, p, c)
+
+
+def test_residue_symbol_builds_no_square_table():
+    # the symbol is one reciprocity loop: only the local battery's table
+    # fills square_residues
+    rng = random.Random(13)
+    square_residues.cache_clear()
+    for i in range(30):
+        p = rng.choice(monic_irreducibles(3, 3 + i % 5))
+        residue_symbol(random_poly(3, 2 * p.degree, rng, nonzero=True), p)
+    assert square_residues.cache_info().misses == 0
 
 
 def test_quadratic_reciprocity_random():

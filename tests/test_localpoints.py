@@ -162,8 +162,9 @@ def test_fast_m_bound_matches_oracle():
 
 
 def test_fast_m_bound_above_the_old_table_cap():
-    # q^9 = 19683 residues mod ram1, above residue_symbol's table cap:
-    # fast_m_bound still reads every symbol from square_residues
+    # q^9 = 19683 residues mod ram1, above the size at which an older
+    # residue_symbol stopped tabulating squares: fast_m_bound still reads
+    # every symbol at ram1 from square_residues
     D = table_D(3, "t^9+t^7+2t^6+1", "t+1")
     assert fast_m_bound(D) == 4
 
