@@ -7,7 +7,7 @@ outside P(y) is what the non-existence criterion needs for its third
 hypothesis.
 """
 
-from dscurves import (dset, enumerate_weil, exponent_n, format_poly, norm,
+from dscurves import (dset, enumerate_weil, exponent_n, format_poly,
                       p_excluded, parse_poly, pset)
 
 q = 3

@@ -6,19 +6,19 @@ else lives in its submodule (`fpoly`, `weil`, `splitting`, `localpoints`,
 `certificate`, `search`).
 """
 
-from .errors import FieldMismatch, InvalidInput, ModulusMismatch, ParseError
+from .errors import FieldMismatch, InvalidInput, ParseError
 from .fpoly import format_poly, parse_poly
-from .weil import dset, enumerate_weil, exponent_n, norm, p_excluded, pset
+from .weil import dset, enumerate_weil, exponent_n, p_excluded, pset
 from .splitting import QuaternionData
 from .certificate import (SchemaError, admissible_eps_set, hasse_certificate,
                           verify_certificate)
 from . import search
 
 __all__ = [
-    "FieldMismatch", "InvalidInput", "ModulusMismatch", "ParseError",
+    "FieldMismatch", "InvalidInput", "ParseError",
     "SchemaError",
     "format_poly", "parse_poly",
-    "dset", "enumerate_weil", "exponent_n", "norm", "p_excluded", "pset",
+    "dset", "enumerate_weil", "exponent_n", "p_excluded", "pset",
     "QuaternionData",
     "admissible_eps_set", "hasse_certificate", "verify_certificate",
     "search",

@@ -16,10 +16,6 @@ class FieldMismatch(ValueError):
     """Operands live over different field orders."""
 
 
-class ModulusMismatch(ValueError):
-    """Quadratic-extension elements built over different minimal polynomials."""
-
-
 class ParseError(ValueError):
     """Polynomial text could not be parsed; carries the offending position."""
 

@@ -27,14 +27,14 @@ from functools import lru_cache
 from . import ffield
 from .errors import FieldMismatch, InvalidInput, ParseError, excerpt
 
-# a product whose longer factor has at most this many coefficients runs
-# schoolbook; any other is one Kronecker product.  Kronecker time over
-# schoolbook time, measured with CPython 3.11 on one core of a 2-vCPU
-# machine at q = 3, 7 and 3037000493 (below 1 Kronecker is faster):
-# squares break even at 5-6 coefficients (0.8-1.5 at 6x6, 0.5-0.9 at
-# 8x8), 2x6 is 1.2-1.5 and 5x7 0.7-1.1, and a thin factor times a long one
-# favours Kronecker (2x60: 0.4-1.0, 1x4600: 0.45-0.8, 4x4600: 0.2-0.6)
-_SCHOOLBOOK_MAX = 6
+# a product with len(a) * len(b) at most this runs schoolbook; any other
+# is one Kronecker product.  Kronecker time over schoolbook time, CPython
+# 3.11 on one core of a 2-vCPU machine at q = 3, 7 and 3037000493 (below 1
+# Kronecker is faster): schoolbook wins up to 24 pairs (1x8 1.3-1.9, 2x12
+# 1.05-1.15, 4x6 1.0), 25-36 pairs break even at q = 3 and 7 (5x6 and 3x10
+# 0.9-1.0, 6x6 0.85, 1x30 1.1-1.3), and Kronecker wins above (7x7 0.7-0.8,
+# 2x30 0.8; at q = 3037000493 from about 50 pairs)
+_SCHOOLBOOK_MAX = 30
 
 # struct code of an unsigned slot of 1, 2, 4 and 8 bytes
 _SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -228,18 +228,23 @@ def _mul_coeffs(a, b, q):
     `to_bytes` read and write those bytes little-endian to match.  A bound
     of 2^64 or more (q above 2^32 at one coefficient, above about 2^26 at
     4600) keeps slots of exactly k bytes, packed and read one coefficient
-    at a time."""
+    at a time.  Before Kronecker, low zeros are split off, (t^i a')(t^j b')
+    = t^(i+j) a'b', so a product by a monomial such as y^k, y = t, is a shift."""
     if not a or not b:
         return ()
     if len(a) > len(b):
         a, b = b, a
-    if len(b) <= _SCHOOLBOOK_MAX:
+    if len(a) * len(b) <= _SCHOOLBOOK_MAX:
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
         return tuple([c % q for c in out])
+    if not a[0] or not b[0]:
+        i = next(k for k, c in enumerate(a) if c)
+        j = next(k for k, c in enumerate(b) if c)
+        return (0,) * (i + j) + _mul_coeffs(a[i:], b[j:], q)
     k = ((len(a) * (q - 1) ** 2).bit_length() + 7) // 8
     size = len(a) + len(b) - 1
     if k <= 8:
@@ -269,7 +274,7 @@ def poly_gcd(f, g):
 
 def power(x, e, mul, one):
     """x^e by square-and-multiply, for any product mul with identity one:
-    the one power loop behind `Poly.__pow__`, `powmod` and `weil.ext_pow`."""
+    the one power loop behind `Poly.__pow__` and `powmod`."""
     if not isinstance(e, int) or e < 0:
         raise InvalidInput("a power needs a non-negative integer exponent, got "
                            + excerpt(e))

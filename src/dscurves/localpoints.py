@@ -235,7 +235,8 @@ def witness_search(D, l):
       none; only when 2 deg a = deg l is the exact rule needed.  When it
       fails, only the top level deg a = deg l / 2 is scanned;
     - a zero symbol, a^2 = 4c*l mod p or mod s, takes the exact rule,
-      which reads the valuation.
+      which reads the valuation, unless the symbol at p is +1: p then
+      splits, and the exact rule rejects a without reading s.
     """
     q = D.q
     table = _residue_table(D)
@@ -266,7 +267,7 @@ def witness_search(D, l):
                     if i < top_start or nonsquare_at_infinity(a * a - cl4):
                         return LocalWitness(l=l, a=a, c=c)
                     continue
-            elif not mask & zero_bit:
+            elif not mask & zero_bit or add(a2p[i], tp) in squares_p:
                 continue
             a = _candidate(q, i)
             if _nonsplit_disc(D, a * a - cl4):

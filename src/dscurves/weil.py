@@ -4,9 +4,9 @@ For a monic irreducible y, the admissible quadratics X^2 + a1*X + mu*y
 (deg a1 <= deg(y)/2, mu a unit, discriminant a non-square in the completion
 at infinity) are the minimal polynomials of the Frobenius classes pi the
 non-existence criterion quantifies over.  The key computation is the exact
-norm N(pi^(2n) - y^n) in A, read from the trace of pi^n in A[pi] (see
-`dset`); a ramified prime is "excluded" when it divides none of the
-nonzero norms.
+norm N(pi^(2n) - y^n) in A, read from the trace V of pi^n (see `dset`); a
+ramified prime is "excluded" when it divides none of the nonzero norms,
+which V mod p decides (see `norm_statuses`).
 """
 
 from dataclasses import dataclass
@@ -14,9 +14,9 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from . import ffield
-from .errors import InvalidInput, ModulusMismatch
-from .fpoly import (Poly, factor, format_poly, polys_of_degree_at_most, power,
-                    power_exceeds, require_monic_irreducible)
+from .errors import InvalidInput
+from .fpoly import (Poly, factor, format_poly, polys_of_degree_at_most,
+                    power_exceeds, powmod, require_monic_irreducible)
 
 
 def lq(q, d):
@@ -109,44 +109,13 @@ def enumerate_weil(y):
 
 
 @dataclass(frozen=True)
-class QuadExtElem:
-    """u + v*pi in A[pi] = A[X]/(X^2 + a1*X + mu*y)."""
-
-    u: Poly
-    v: Poly
-    modulus: WeilPoly
-
-
-def ext_mul(x, z):
-    """Product reduced to the basis {1, pi} via pi^2 = -a1*pi - mu*y."""
-    if x.modulus != z.modulus:
-        raise ModulusMismatch("elements over different quadratic extensions")
-    w = x.modulus
-    vv = x.v * z.v
-    u = x.u * z.u - w.const_term * vv
-    v = x.u * z.v + x.v * z.u - w.a1 * vv
-    return QuadExtElem(u=u, v=v, modulus=w)
-
-
-def ext_pow(x, e):
-    """x^e in A[pi]."""
-    q = x.modulus.q
-    return power(x, e, ext_mul,
-                 QuadExtElem(u=Poly.one(q), v=Poly.zero(q), modulus=x.modulus))
-
-
-def norm(x):
-    """N(u + v*pi) = u^2 - a1*u*v + mu*y*v^2, the product with the conjugate."""
-    w = x.modulus
-    return x.u * x.u - w.a1 * x.u * x.v + w.const_term * x.v * x.v
-
-
-@dataclass(frozen=True)
 class NormEntry:
-    """Norm of pi^(2n) - y^n for one admissible quadratic."""
+    """Norm of pi^(2n) - y^n for one admissible quadratic, and the trace
+    V = Tr(pi^n) it is read from: value = y^n * (4*y^n - V^2)."""
 
     source: WeilPoly
     value: Poly
+    trace: Poly
 
     @property
     def is_zero(self):
@@ -156,10 +125,10 @@ class NormEntry:
 # largest total norm degree of dset(y): the number of entries times the
 # degree of each, although dset computes one norm per orbit.  Measured
 # whole dset on CPython 3.11, one core of a 2-vCPU machine: q = 7, y = t
-# (42 * 4608 = 193536, the largest in the paper's table) takes 0.04-0.05 s,
-# q = 5, y = t^2+2 (100 * 2304 = 230400) 0.06-0.07 s and q = 3, y = t^6+t+2
-# (124416) 0.05-0.08 s.  Refused: q = 7, y = t^2+1 (2.7e6, 0.7 s),
-# q = 11, y = t (3.2e6, 0.9 s) and a degree-16 y at q = 3 (8.1e7)
+# (42 * 4608 = 193536, the largest in the paper's table) takes 0.02 s,
+# q = 5, y = t^2+2 (100 * 2304 = 230400) 0.025-0.035 s and q = 3,
+# y = t^6+t+2 (124416) 0.03-0.05 s.  Refused: q = 7, y = t^2+1 (2.7e6,
+# 0.3-0.4 s), q = 11, y = t (3.2e6, 0.33 s) and a degree-16 y at q = 3 (8.1e7)
 _MAX_NORM_TOTAL = 250000
 
 
@@ -175,6 +144,25 @@ def check_norm_degree(y):
                            "deg y = %d" % (_MAX_NORM_TOTAL, q, y.degree))
 
 
+def _lucas_trace(w, steps):
+    """V_n = pi^n + pibar^n for the roots of w = X^2 + a1*X + mu*y, by the
+    Lucas ladder on P = -a1 and Q = mu*y: from (V_0, V_1) = (2, P), each
+    bit of n maps (V_k, V_(k+1)) to (V_(2k), V_(2k+1)) or (V_(2k+1),
+    V_(2k+2)) by V_(2k) = V_k^2 - 2*Q^k and V_(2k+1) = V_k*V_(k+1) - P*Q^k,
+    the last bit only to the first.  `steps` holds (bit, k, y^k, y^(k+1))."""
+    q, mu, p = w.q, w.mu, -w.a1
+    v, u = Poly.constant(q, 2), p  # V_k, V_(k+1)
+    for bit, k, yk, yk1 in steps[:-1]:
+        qk = pow(mu, k, q) * yk
+        if bit:
+            v, u = v * u - p * qk, u * u - 2 * pow(mu, k + 1, q) * yk1
+        else:
+            v, u = v * v - 2 * qk, v * u - p * qk
+    bit, k, yk, _ = steps[-1]
+    qk = pow(mu, k, q) * yk
+    return v * u - p * qk if bit else v * v - 2 * qk
+
+
 @lru_cache(maxsize=None)
 def dset(y):
     """One NormEntry per admissible quadratic, in `enumerate_weil` order;
@@ -187,21 +175,21 @@ def dset(y):
     - the A-algebra isomorphism pi' -> c*pi sends pi'^(2n) - y^n to
       c^(2n)*pi^(2n) - y^n;
     - that equals pi^(2n) - y^n, because (q - 1) | n = (q^2 - 1)^2;
-    - so the two norms are equal.
+    - so the two norms are equal, and so are the traces below (c^n = 1).
     The discriminant scales by the square c^2, so the orbit stays inside
     `enumerate_weil`.
 
-    Each norm comes from the trace of pi^n, not from pi^(2n):
-    - write pi^n = u + v*pi; its conjugate is u + v*pibar, and
-      pi + pibar = -a1, so V = Tr(pi^n) = 2u - a1*v;
-    - pi*pibar = mu*y and (q - 1) | n, so (pi*pibar)^n = y^n;
+    Each norm comes from V = Tr(pi^n) = pi^n + pibar^n, pibar the other
+    root, which `_lucas_trace` computes with two products per bit of n
+    from the y^k along the bits of n, computed once per call:
+    - (q - 1) | n, so (pi*pibar)^n = (mu*y)^n = y^n;
     - hence Tr(pi^(2n)) = V^2 - 2*y^n, and
       N(pi^(2n) - y^n) = (pi*pibar)^(2n) - y^n*Tr(pi^(2n)) + y^(2n)
                        = y^n * (4*y^n - V^2).
-    y^n is computed once per call.
 
-    An entry is zero iff a1 = 0:
-    - (if) pi^2 = -mu*y and (q - 1) | n, so pi^(2n) = (-mu)^n * y^n = y^n.
+    An entry is zero iff a1 = 0, and then V = 2*y^(n/2) with no ladder:
+    - (if) pi^2 = -mu*y and (q - 1) | n/2 (q + 1 is even), so pi^n =
+      (-mu)^(n/2) * y^(n/2) = y^(n/2) = pibar^n, and pi^(2n) = y^n.
     - (only if) The discriminant is a non-square at infinity, so the
       quadratic is irreducible and F(pi) is a field.  A zero norm then
       means pi^(2n) = y^n, so zeta = pi^2/y is a root of unity in F(pi),
@@ -213,17 +201,23 @@ def dset(y):
     check_norm_degree(y)
     q = y.q
     n = exponent_n(q, 2)
-    yn = y ** n
-    norms = {}
-    entries = []
+    # (bit, k, y^k, y^(k+1)) per bit of n, and yk = y^n at the end
+    yk, k, steps = Poly.one(q), 0, []
+    for bit in map(int, bin(n)[2:]):
+        steps.append((bit, k, yk, yk * y))
+        yk, k = yk * steps[-1][2 + bit], 2 * k + bit
+    # n is even, so the last step starts from k = n/2
+    norms, entries, zero = {}, [], (2 * steps[-1][2], Poly.zero(q))
     for w in enumerate_weil(y):
         if (w.a1, w.mu) not in norms:
-            power = ext_pow(QuadExtElem(u=Poly.zero(q), v=Poly.one(q), modulus=w), n)
-            trace = 2 * power.u - w.a1 * power.v
-            value = yn * (4 * yn - trace * trace)
+            norm = zero
+            if w.a1:
+                trace = _lucas_trace(w, steps)
+                norm = (trace, yk * (4 * yk - trace * trace))
             for c in range(1, q):
-                norms[c * w.a1, c * c * w.mu % q] = value
-        entries.append(NormEntry(source=w, value=norms[w.a1, w.mu]))
+                norms[c * w.a1, c * c * w.mu % q] = norm
+        trace, value = norms[w.a1, w.mu]
+        entries.append(NormEntry(source=w, value=value, trace=trace))
     return tuple(entries)
 
 
@@ -237,22 +231,26 @@ _MAX_PRIME_DEGREE = 200
 def norm_statuses(p, y):
     """Lazily, (entry, status) for each NormEntry of dset(y): status is
     "zero norm", "divides" when p divides the nonzero norm, or "coprime".
-    Each distinct norm is reduced mod p once; the other entries of its
-    orbit (see `dset`) reuse its status.  p's degree bound comes before its
-    irreducibility test, and `dset` checks y."""
+    p != y are monic irreducibles, so y^n is a unit mod p and p divides
+    y^n * (4*y^n - V^2) iff V^2 = 4*y^n mod p: no norm is reduced, only
+    each distinct trace V, and y^n mod p is computed once per call.  The
+    other entries of an orbit (see `dset`) reuse its status.  p's degree
+    bound comes before its irreducibility test, and `dset` checks y."""
     if p.degree > _MAX_PRIME_DEGREE:
         raise InvalidInput("p has degree %d, above %d"
                            % (p.degree, _MAX_PRIME_DEGREE))
     require_monic_irreducible(p, "p")
     if p == y:
         raise InvalidInput("p must differ from y")
-    statuses = {}
-    for entry in dset(y):
-        status = statuses.get(entry.value)
+    entries, statuses = dset(y), {}
+    yn4 = 4 * powmod(y, exponent_n(y.q, 2), p)
+    for entry in entries:
+        status = statuses.get(entry.trace)
         if status is None:
-            status = statuses[entry.value] = (
+            v = entry.trace % p
+            status = statuses[entry.trace] = (
                 "zero norm" if entry.is_zero
-                else "divides" if (entry.value % p).is_zero else "coprime")
+                else "divides" if ((v * v - yn4) % p).is_zero else "coprime")
         yield entry, status
 
 

@@ -15,10 +15,9 @@ from dscurves.fpoly import (Poly, factor, is_irreducible, monic_irreducibles,
                             parse_poly, polys_of_degree_at_most,
                             residue_symbol)
 from dscurves.splitting import QuaternionData
-from dscurves.weil import (dset, enumerate_weil, ext_mul, exponent_n, lq,
-                           norm, p_excluded, QuadExtElem)
+from dscurves.weil import dset, enumerate_weil, exponent_n, lq, p_excluded
 from dscurves import cli
-from oracles import gauss_irreducible_count
+from oracles import QuadExtElem, ext_mul, gauss_irreducible_count, norm
 
 SIX_TRIPLES = [
     (3, "t^3+t^2+t+2", "t+1"),

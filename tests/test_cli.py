@@ -104,6 +104,15 @@ SUBCOMMAND_PINS = [
     ("local", LOCAL_ARGS + ["--radicand", "t+2"], 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # the excluded-prime test where the norms are long: degree up to 2304
+    # at q = 5 and 4608 at q = 7, for ram1 of the (5, t^4+2, t^2+t+1) and
+    # (7, t^3+2, t+3) table triples
+    ("pcheck", ["--field-order", "5", "--y", "t", "--p", "t^4+2"], 0,
+     "2dbac17abad1c7a1a5bc1eff4549568f32ddc3086366e15d5d8a8b84c569b05b",
+     "f94a3201b7c138c9d14439eb55767ebf1ff5cf59a52506669038caaa51042efc"),
+    ("pcheck", ["--field-order", "7", "--y", "t", "--p", "t^3+2"], 0,
+     "725fb9c796f004c1f1bcb2d0e646049ac5c7abec05a4d77340b03b4e5027f153",
+     "b62368657f802a15359267289ed308c93714bb696591df524d9f3e7a78cd23d2"),
 ]
 
 

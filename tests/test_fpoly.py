@@ -65,43 +65,79 @@ def test_mul_matches_sympy_random():
             assert f * g == want
 
 
+def random_coeffs(q, n, rng):
+    """n coefficients whose first and last are nonzero."""
+    if n == 1:
+        return [rng.randrange(1, q)]
+    return ([rng.randrange(1, q)] + [rng.randrange(q) for _ in range(n - 2)]
+            + [rng.randrange(1, q)])
+
+
+def schoolbook(a, b, q):
+    """The product of two coefficient tuples, term by term."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return tuple(c % q for c in out)
+
+
 def slot_width(n, m, q):
-    """How `_mul_coeffs` forms a product of n and m coefficients:
-    "schoolbook", a Kronecker slot of 1, 2, 4 or 8 bytes, or "wide".  A
-    slot must hold min(n, m) * (q-1)^2, the largest sum of products it
-    receives."""
-    if max(n, m) <= fpoly._SCHOOLBOOK_MAX:
+    """How `_mul_coeffs` forms a product of n and m coefficients, both
+    factors with a nonzero constant coefficient: "schoolbook", a Kronecker
+    slot of 1, 2, 4 or 8 bytes, or "wide".  A slot must hold
+    min(n, m) * (q-1)^2, the largest sum of products it receives."""
+    if n * m <= fpoly._SCHOOLBOOK_MAX:
         return "schoolbook"
     bound = min(n, m) * (q - 1) ** 2
     return next((w for w in (1, 2, 4, 8) if bound < 256 ** w), "wide")
 
 
 def test_large_mul_matches_schoolbook():
-    # the in-test schoolbook oracle against both sides of the crossover (the
-    # longer factor at the cut and one above it, thin or square), a thin
-    # factor times a long one, squares and a long product, at field orders
-    # that land in every slot width: q = 3037000493 puts (q-1)^2 just below
-    # 2^63, and 1099511627689 is the largest prime validate_field_order
-    # accepts
+    # the in-test schoolbook oracle against both sides of the crossover (a
+    # product of lengths at the cut and one above it, thin or square), a
+    # thin factor times a long one, squares and a long product, at field
+    # orders that land in every slot width: q = 3037000493 puts (q-1)^2
+    # just below 2^63, and 1099511627689 is the largest prime
+    # validate_field_order accepts.  The constant coefficients are nonzero,
+    # so no low zeros are split off and each case takes the path that
+    # `slot_width` names
     rng = random.Random(3)
     cut = fpoly._SCHOOLBOOK_MAX
-    sizes = ((cut, cut), (cut + 1, cut + 1), (1, cut), (1, cut + 1), (2, cut + 1),
-             (2, 60), (60, 60), (2, 4600), (200, 200), (300, None))
+    sizes = ((1, cut), (1, cut + 1), (2, cut // 2), (2, cut // 2 + 1), (5, 6),
+             (6, 6), (2, 60), (60, 60), (2, 4600), (200, 200), (300, None))
+    assert 5 * 6 <= cut < 6 * 6
+
     cases = [(q, n, m) for q in (3, 7, 1009, 65537, 3037000493, 1099511627689)
              for n, m in sizes] + [(7, 1500, 1500)]
     widths = set()
     for q, n, m in cases:
-        f = Poly(q, [rng.randrange(q) for _ in range(n - 1)] + [rng.randrange(1, q)])
-        g = f if m is None else Poly(
-            q, [rng.randrange(q) for _ in range(m - 1)] + [rng.randrange(1, q)])
-        out = [0] * (len(f.coeffs) + len(g.coeffs) - 1)
-        for i, ai in enumerate(f.coeffs):
-            for j, bj in enumerate(g.coeffs):
-                out[i + j] += ai * bj
-        slow = tuple(c % q for c in out)
+        f = Poly(q, random_coeffs(q, n, rng))
+        g = f if m is None else Poly(q, random_coeffs(q, m, rng))
+        slow = schoolbook(f.coeffs, g.coeffs, q)
         assert (f * g).coeffs == slow == (g * f).coeffs, (q, n, m)
         widths.add(slot_width(len(f.coeffs), len(g.coeffs), q))
     assert widths == {"schoolbook", 1, 2, 4, 8, "wide"}
+
+
+def test_mul_splits_off_low_zeros():
+    # (t^i*a')(t^j*b') = t^(i+j)*(a'*b'): a monomial times a polynomial
+    # either way round, and both factors shifted, with the shifted parts on
+    # both sides of the crossover, against the term-by-term product
+    rng = random.Random(17)
+    cut = fpoly._SCHOOLBOOK_MAX
+    for q in (3, 7, 3037000493):
+        for i, j in ((0, 1), (1, 0), (1, 1), (3, 7), (40, 2), (2304, 0)):
+            for n, m in ((1, 1), (1, 5), (1, cut + 1), (3, 4), (6, 6), (2, 60),
+                         (60, 60)):
+                a = (0,) * i + tuple(random_coeffs(q, n, rng))
+                b = (0,) * j + tuple(random_coeffs(q, m, rng))
+                want = schoolbook(a, b, q)
+                assert (Poly(q, a) * Poly(q, b)).coeffs == want, (q, i, j, n, m)
+                assert (Poly(q, b) * Poly(q, a)).coeffs == want, (q, i, j, n, m)
+    t = Poly.t(3)
+    assert (t ** 2304).coeffs == (0,) * 2304 + (1,)
+    assert (t ** 5 * t ** 7) == t ** 12
 
 
 def test_linear_kernels_match_per_coefficient_oracle():

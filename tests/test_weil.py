@@ -4,12 +4,13 @@ import random
 import pytest
 import sympy
 
-from dscurves.errors import InvalidInput, ModulusMismatch
+from dscurves.errors import InvalidInput
 from dscurves.fpoly import Poly, factor, monic_irreducibles, parse_poly
-from dscurves.weil import (NormEntry, QuadExtElem, WeilPoly, dset,
-                           enumerate_weil, exponent_n, ext_mul, ext_pow, lq,
-                           nonsquare_at_infinity, norm, p_excluded, pset)
-from oracles import frobenius_test_element
+from dscurves.weil import (check_norm_degree, dset, enumerate_weil, exponent_n,
+                           lq, nonsquare_at_infinity, norm_statuses,
+                           p_excluded, pset)
+from oracles import (ModulusMismatch, QuadExtElem, ext_mul, ext_pow,
+                     frobenius_test_element, norm, pi_power_trace)
 
 X, T = sympy.symbols("x T")
 
@@ -179,14 +180,70 @@ NORM_CASES = ((3, "t"), (3, "t^2+1"), (3, "t^3+2t+1"), (5, "t"), (5, "t^2+2"),
 
 def test_dset_orbit_norms_match_per_entry_oracle():
     # dset computes one norm per orbit (c*a1, c^2*mu) from the trace of
-    # pi^n; the oracle computes every entry's norm of pi^(2n) - y^n on its
-    # own.  A degree-6 y at q = 3 adds the largest norms of the cases
+    # pi^n, by the Lucas ladder or, when a1 = 0, as 2*y^(n/2); the oracles
+    # compute every entry's norm of pi^(2n) - y^n and trace 2u - a1*v of
+    # pi^n = u + v*pi on their own, by square-and-multiply in A[pi].  A
+    # degree-6 y at q = 3 adds the largest norms of the cases
     for q, ytxt in NORM_CASES + ((3, "t^6+t+2"),):
         y = parse_poly(ytxt, q)
+        n = exponent_n(q, 2)
         entries = dset(y)
         assert [e.source for e in entries] == list(enumerate_weil(y))
         for entry in entries:
             assert entry.value == norm(frobenius_test_element(entry.source))
+            assert entry.trace == pi_power_trace(entry.source, n)
+
+
+def fold(f, m):
+    """f mod t^m - t: t^e = t^(e-m+1) for e >= m.  Every monic irreducible
+    of degree d divides t^(q^d) - t, so fold(f, q^d) % p = f % p."""
+    cs = list(f.coeffs)
+    for e in range(len(cs) - 1, m - 1, -1):
+        cs[e - m + 1] += cs[e]
+    return Poly(f.q, cs[:m])
+
+
+def assert_statuses_match_reduction(y, primes):
+    """norm_statuses(p, y), read from the trace, against the reduction of
+    each distinct nonzero norm mod p."""
+    entries = dset(y)
+    values = {e.value for e in entries if not e.is_zero}
+    folded = {}
+    for p in primes:
+        if p == y:
+            continue
+        key = y.q ** p.degree
+        if key not in folded:
+            folded[key] = {v: fold(v, key) for v in values}
+            # the fold itself, against the direct reduction, once per degree
+            assert all(folded[key][v] % p == v % p for v in values)
+        divides = {v for v in values if (folded[key][v] % p).is_zero}
+        statuses = list(norm_statuses(p, y))
+        assert [e for e, _ in statuses] == list(entries)
+        for entry, status in statuses:
+            want = ("zero norm" if entry.is_zero
+                    else "divides" if entry.value in divides else "coprime")
+            assert status == want, (y, p, entry.source)
+
+
+@pytest.mark.parametrize("q, max_deg_p", [(3, 4), (5, 4), (7, 3)])
+def test_trace_status_matches_norm_reduction(q, max_deg_p):
+    # every y of degree <= 2 that dset's norm bound admits, and every monic
+    # irreducible p != y up to max_deg_p, plus at q = 7 a seeded sample of
+    # degree 4.  fold(v, q^deg p) % p is v % p at a fraction of the cost
+    ys = [y for d in (1, 2) for y in monic_irreducibles(q, d)]
+    primes = [p for d in range(1, max_deg_p + 1) for p in monic_irreducibles(q, d)]
+    if q == 7:
+        primes += random.Random(7).sample(monic_irreducibles(q, 4), 12)
+    admitted = 0
+    for y in ys:
+        try:
+            check_norm_degree(y)
+        except InvalidInput:
+            continue
+        admitted += 1
+        assert_statuses_match_reduction(y, primes)
+    assert admitted == {3: 3 + 3, 5: 5 + 10, 7: 7}[q]
 
 
 def test_dset_zero_norm_dichotomy():
