@@ -15,7 +15,6 @@ import json
 import re
 import sys
 
-from . import ffield
 from .certificate import (VALID, SchemaError, hasse_certificate,
                           verify_certificate, write_canonical_json)
 from .errors import InvalidInput, ParseError, excerpt
@@ -311,14 +310,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "field_order"):
-            ffield.validate_field_order(args.field_order)
         return _HANDLERS[args.command](args)
     except InvalidInput as exc:
         print("invalid input: %s" % exc, file=sys.stderr)
-        return EXIT_INVALID
-    except ParseError as exc:
-        print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
 
 

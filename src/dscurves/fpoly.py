@@ -64,6 +64,9 @@ class Poly:
         object.__setattr__(self, "coeffs", coeffs)
         return self
 
+    def __reduce__(self):
+        return type(self)._raw, (self.q, self.coeffs)
+
     @classmethod
     def zero(cls, q):
         return cls(q, ())
@@ -208,7 +211,18 @@ class Poly:
         return Poly(q, cs)
 
     def __repr__(self):
-        return "Poly(q=%d, %s)" % (self.q, format_poly(self))
+        return "%s(q=%d, %s)" % (type(self).__name__, self.q, format_poly(self))
+
+
+class Prime(Poly):
+    """A monic irreducible Poly, proven once: made only by the sieve
+    `monic_irreducibles` and `require_monic_irreducible`, so its holder,
+    pickled or not, tests it no more.  Arithmetic returns plain Polys."""
+
+    __slots__ = ()
+
+    def __init__(self, q, coeffs=()):
+        raise TypeError("only the sieve or require_monic_irreducible makes a Prime")
 
 
 def _mul_coeffs(a, b, q):
@@ -306,11 +320,14 @@ def is_irreducible(f):
 
 
 def require_monic_irreducible(f, name):
-    """InvalidInput naming the argument, with an excerpt of f, unless f is a
-    monic irreducible: the one statement of that precondition."""
+    """f as a Prime, proved by one Ben-Or test unless it is one already;
+    InvalidInput naming the argument and quoting f if it is not."""
+    if isinstance(f, Prime):
+        return f
     if not f.is_monic or f.degree < 1 or not is_irreducible(f):
         raise InvalidInput("%s must be a monic irreducible, got %s"
                            % (name, excerpt(format_poly(f))))
+    return Prime._raw(f.q, f.coeffs)
 
 
 # largest q^degree that monic_irreducibles sieves, one byte per slot.
@@ -330,8 +347,8 @@ def power_exceeds(q, k, bound, factor=1):
 
 @lru_cache(maxsize=None)
 def monic_irreducibles(q, degree):
-    """All monic irreducibles of the given degree, in lexicographic order of
-    coefficient vectors (low degree index first).
+    """All monic irreducibles of the given degree, as Primes, in
+    lexicographic order of coefficient vectors (low degree index first).
 
     A sieve: slot i of a bytearray of q^degree slots stands for the monic
     t^degree + c_{degree-1} t^(degree-1) + ... + c_0 whose low coefficients
@@ -352,7 +369,7 @@ def monic_irreducibles(q, degree):
             for low in itertools.product(range(q), repeat=degree - e):
                 prod = _mul_coeffs(f.coeffs, low + (1,), q)
                 composite[sum(map(operator.mul, prod, weights))] = 1
-    return tuple(Poly._raw(q, low + (1,))
+    return tuple(Prime._raw(q, low + (1,))
                  for low, marked in zip(itertools.product(range(q), repeat=degree),
                                         composite) if not marked)
 

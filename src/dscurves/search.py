@@ -8,7 +8,7 @@ n = 1, since a certificate's verdict depends on (q, D, y) only.
 """
 
 from .certificate import admissible_eps_set, hasse_certificate
-from .fpoly import (Poly, format_poly, monic_irreducibles, parse_poly,
+from .fpoly import (Poly, format_poly, monic_irreducibles,
                     require_monic_irreducible)
 from .localpoints import ramified_mu
 from .splitting import QuaternionData, check_pair_count, mu_y_obstruction
@@ -52,14 +52,12 @@ def passes_cheap_filters(D, y):
 
 
 def _certify_pair(job):
-    """Worker: the n = 1 certificate for one candidate pair, from text so
-    the job pickles cheaply."""
-    q, p_text, s_text, y_text = job
-    D = QuaternionData(ram1=parse_poly(p_text, q), ram2=parse_poly(s_text, q))
-    one = Poly.one(q)
-    cert = hasse_certificate(D, parse_poly(y_text, q), one,
-                             admissible_eps_set(one)[0])
-    return p_text, s_text, cert.data
+    """Worker: the n = 1 certificate for one (D, y) that passed the cheap
+    filters.  Its primes are Primes, in a pickle too, so none is tested."""
+    D, y = job
+    one = Poly.one(D.q)
+    cert = hasse_certificate(D, y, one, admissible_eps_set(one)[0])
+    return format_poly(D.ram1), format_poly(D.ram2), cert.data
 
 
 def search(y, max_deg1, max_deg2, workers=1):
@@ -73,14 +71,13 @@ def search(y, max_deg1, max_deg2, workers=1):
 
     The checks, the candidates and the cheap filters run at call time.  The
     cheap filters may reject every pair without computing dset(y), so y is
-    checked here: its norm bound, then its irreducibility test.
+    checked here: its norm bound, then the one irreducibility test of y.
     """
     check_norm_degree(y)
-    require_monic_irreducible(y, "y")
+    y = require_monic_irreducible(y, "y")
     pairs = candidates(y, max_deg1, max_deg2)
-    jobs = [(y.q, format_poly(p), format_poly(s), format_poly(y))
-            for p, s in pairs
-            if passes_cheap_filters(QuaternionData(ram1=p, ram2=s), y)]
+    jobs = [(D, y) for D in (QuaternionData(ram1=p, ram2=s) for p, s in pairs)
+            if passes_cheap_filters(D, y)]
     return len(pairs), _certify_all(jobs, workers)
 
 

@@ -71,8 +71,8 @@ def check_pair_count(q, deg1, deg2):
 @dataclass(frozen=True)
 class QuaternionData:
     """Quaternion division algebra over F_q(t), split at infinity, ramified
-    exactly at the two distinct monic irreducibles (ram1, ram2).  The pair
-    bound, read from degrees, comes before the irreducibility tests."""
+    exactly at the distinct Primes ram1 and ram2.  The pair bound, read
+    from degrees, comes before the irreducibility tests."""
 
     ram1: Poly
     ram2: Poly
@@ -81,8 +81,8 @@ class QuaternionData:
         check_pair_count(self.ram1.q, self.ram1.degree, self.ram2.degree)
         if self.ram1 == self.ram2:
             raise InvalidInput("ramified primes must be distinct")
-        require_monic_irreducible(self.ram1, "ram1")
-        require_monic_irreducible(self.ram2, "ram2")
+        for name, f in (("ram1", self.ram1), ("ram2", self.ram2)):
+            object.__setattr__(self, name, require_monic_irreducible(f, name))
 
     @property
     def q(self):

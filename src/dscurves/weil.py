@@ -97,7 +97,7 @@ def enumerate_weil(y):
     conjugate pair of Weil numbers.
     """
     check_weil_count(y)
-    require_monic_irreducible(y, "y")
+    y = require_monic_irreducible(y, "y")
     q = y.q
     out = []
     for a1 in polys_of_degree_at_most(q, y.degree // 2):
@@ -231,19 +231,19 @@ _MAX_PRIME_DEGREE = 200
 def norm_statuses(p, y):
     """Lazily, (entry, status) for each NormEntry of dset(y): status is
     "zero norm", "divides" when p divides the nonzero norm, or "coprime".
-    p != y are monic irreducibles, so y^n is a unit mod p and p divides
-    y^n * (4*y^n - V^2) iff V^2 = 4*y^n mod p: no norm is reduced, only
-    each distinct trace V, and y^n mod p is computed once per call.  The
-    other entries of an orbit (see `dset`) reuse its status.  p's degree
-    bound comes before its irreducibility test, and `dset` checks y."""
+    p != y are monic irreducibles, so y^n is a unit mod p, y^(n mod
+    (q^deg p - 1)) as (A/p)^x has that order, and p divides y^n * (4*y^n -
+    V^2) iff V^2 = 4*y^n mod p: no norm is reduced, only each distinct
+    trace V, and the entries of an orbit (see `dset`) share a status.  p's
+    degree bound comes before its irreducibility test, and `dset` checks y."""
     if p.degree > _MAX_PRIME_DEGREE:
         raise InvalidInput("p has degree %d, above %d"
                            % (p.degree, _MAX_PRIME_DEGREE))
     require_monic_irreducible(p, "p")
     if p == y:
         raise InvalidInput("p must differ from y")
-    entries, statuses = dset(y), {}
-    yn4 = 4 * powmod(y, exponent_n(y.q, 2), p)
+    entries, statuses, q = dset(y), {}, y.q
+    yn4 = 4 * powmod(y, exponent_n(q, 2) % (q ** p.degree - 1), p)
     for entry in entries:
         status = statuses.get(entry.trace)
         if status is None:

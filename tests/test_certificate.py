@@ -105,10 +105,16 @@ def test_precondition_errors():
     y = parse_poly("t", q)
     D = QuaternionData(ram1=parse_poly("t^3+t^2+t+2", q),
                        ram2=parse_poly("t+1", q))
-    with pytest.raises(InvalidInput):
-        hasse_certificate(D, y, parse_poly("t^2+2t+1", q), 1)  # n not sq-free
-    with pytest.raises(InvalidInput):
-        hasse_certificate(D, y, parse_poly("t", q), 1)  # n not coprime to y
+    # each n_poly with an admissible eps (any unit for even degree, the
+    # non-square 2 for odd), so that the radical's test refuses it
+    for n_text, eps in (("t^2+2t+1", 1),   # n not square-free
+                        ("t", 2),          # n not coprime to y
+                        ("t+1", 2),        # n not coprime to ram2
+                        ("t^4+t^3+t^2+2t", 1),  # n = t * ram1
+                        ("2t^2+1", 1),     # n not monic
+                        ("0", 2)):         # n zero
+        with pytest.raises(InvalidInput, match="radical must be"):
+            hasse_certificate(D, y, parse_poly(n_text, q), eps)
     with pytest.raises(InvalidInput):
         hasse_certificate(D, y, parse_poly("t+2", q), 1)  # eps not admissible
     D_even = QuaternionData(ram1=parse_poly("t^2+1", q),

@@ -243,11 +243,34 @@ def test_invalid_inputs_exit_2(capsys):
         assert exc.value.code == 2 and option in err and len(err) < 200
 
 
+# every subcommand that takes --field-order, with arguments that are valid
+# at q = 3
+FIELD_ORDER_COMMANDS = [
+    ["wset", "--y", "t"],
+    ["pcheck", "--y", "t", "--p", "t^3+t^2+t+2"],
+    ["pset", "--y", "t"],
+    ["criterion", "--ram1", "t^3+t^2+t+2", "--ram2", "t+1", "--y", "t",
+     "--radicand", "t^5+2t^4+2t^3+2t"],
+    ["local", "--ram1", "t^3+t^2+t+2", "--ram2", "t+1",
+     "--radicand", "t^5+2t^4+2t^3+2t"],
+    ["certify", "--ram1", "t^3+t^2+t+2", "--ram2", "t+1", "--y", "t"],
+    ["search", "--max-deg1", "3", "--max-deg2", "1"],
+]
+
+
+@pytest.mark.parametrize("q", ["4", "9"])
+@pytest.mark.parametrize("argv", FIELD_ORDER_COMMANDS, ids=lambda argv: argv[0])
+def test_field_order_is_refused_by_the_library(capsys, argv, q):
+    # the first polynomial parsed validates q; the CLI checks nothing itself
+    code, out, err = run(argv[:1] + ["--field-order", q] + argv[1:], capsys)
+    assert code == 2 and out == "" and "field order must be" in err
+
+
 def test_each_input_gets_one_irreducibility_test(capsys, monkeypatch, tmp_path):
-    # certify and verify test ram1 and ram2 in QuaternionData, y in dset and
-    # each ramified prime once more as the p of norm_statuses; pcheck tests
-    # y and p, and wset y.  The caches holding dset(y) are cleared first, as
-    # in a cold process
+    # certify and verify test ram1 and ram2 in QuaternionData, which keeps
+    # their Primes, and y in dset; pcheck tests y and p, wset y, and search
+    # y only, since its ramified primes come from the sieve.  The caches
+    # holding dset(y) are cleared first, as in a cold process
     calls = []
     distinct_degree = fpoly._distinct_degree
 
@@ -259,10 +282,11 @@ def test_each_input_gets_one_irreducibility_test(capsys, monkeypatch, tmp_path):
     cert = str(tmp_path / "cert.json")
     for argv, want in (
             (["certify", "--field-order", "3", "--ram1", "t^3+t^2+t+2",
-              "--ram2", "t+1", "--y", "t", "--out", cert], 5),
-            (["verify", cert], 5),
+              "--ram2", "t+1", "--y", "t", "--out", cert], 3),
+            (["verify", cert], 3),
             (["pcheck", "--field-order", "3", "--y", "t", "--p", "t^3+t^2+t+2"], 2),
-            (["wset", "--field-order", "3", "--y", "t"], 1)):
+            (["wset", "--field-order", "3", "--y", "t"], 1),
+            (["search", "--field-order", "3", "--max-deg1", "3", "--max-deg2", "1"], 1)):
         weil.dset.cache_clear()
         calls.clear()
         code, _, _ = run(argv, capsys)

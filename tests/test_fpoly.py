@@ -1,5 +1,6 @@
 import itertools
 import operator
+import pickle
 import random
 import time
 
@@ -8,10 +9,11 @@ import sympy
 
 from dscurves import fpoly
 from dscurves.errors import InvalidInput, ParseError
-from dscurves.fpoly import (Poly, factor, format_poly, is_irreducible,
+from dscurves.fpoly import (Poly, Prime, factor, format_poly, is_irreducible,
                             is_squarefree, monic_irreducibles, parse_poly,
                             poly_gcd, polys_of_degree_at_most, powmod,
-                            residue_symbol, square_residues, valuation)
+                            require_monic_irreducible, residue_symbol,
+                            square_residues, valuation)
 from oracles import gauss_irreducible_count
 
 X = sympy.Symbol("x")
@@ -254,6 +256,59 @@ def test_monic_irreducibles_sieve_matches_ben_or():
                       for low in itertools.product(range(q), repeat=n))
             want = [f for f in monics if is_irreducible(f)]
             assert list(monic_irreducibles(q, n)) == want, (q, n)
+
+
+def test_the_sieve_yields_primes():
+    for q, n in ((3, 1), (3, 4), (5, 2), (7, 1)):
+        assert all(type(p) is Prime for p in monic_irreducibles(q, n))
+
+
+def test_require_monic_irreducible_proves_once(monkeypatch):
+    calls = []
+    distinct_degree = fpoly._distinct_degree
+
+    def counted(f):
+        calls.append(f)
+        return distinct_degree(f)
+
+    monkeypatch.setattr(fpoly, "_distinct_degree", counted)
+    f = parse_poly("t^3+t^2+t+2", 3)
+    p = require_monic_irreducible(f, "p")
+    assert type(p) is Prime and p == f and len(calls) == 1
+    # a Prime comes back as it is, with no test
+    assert require_monic_irreducible(p, "p") is p
+    sieved = monic_irreducibles(3, 5)[0]
+    assert require_monic_irreducible(sieved, "p") is sieved
+    assert len(calls) == 1
+
+
+def test_no_public_path_makes_a_prime_of_a_reducible():
+    # t^2 + 2 = (t + 1)(t + 2) at q = 3
+    q, cs = 3, (2, 0, 1)
+    for make in (lambda: Prime(q, cs), lambda: Prime(q, list(cs)),
+                 lambda: Prime.constant(q, 2), lambda: Prime.one(q),
+                 lambda: Prime.zero(q), lambda: Prime.t(q)):
+        with pytest.raises(TypeError):
+            make()
+    f = parse_poly("t^2+2", q)
+    assert type(f) is Poly
+    with pytest.raises(InvalidInput, match="must be a monic irreducible"):
+        require_monic_irreducible(f, "p")
+    assert all(p != f for p in monic_irreducibles(q, 2))
+
+
+def test_arithmetic_on_primes_gives_plain_polys():
+    a, b = monic_irreducibles(3, 1)[1:]  # t + 1 and t + 2
+    assert type(a * b) is Poly and a * b == parse_poly("t^2+2", 3)
+    for value in (a + b, a - b, -a, 2 * a, a ** 2, divmod(a * b, a)[0]):
+        assert type(value) is Poly
+
+
+def test_polys_and_primes_survive_a_pickle():
+    for f in (Poly.zero(3), parse_poly("2t^4+t+1", 5), monic_irreducibles(7, 2)[3],
+              require_monic_irreducible(parse_poly("t^5+2t+1", 3), "p")):
+        back = pickle.loads(pickle.dumps(f))
+        assert type(back) is type(f) and back == f and back.q == f.q
 
 
 def test_monic_irreducibles_refuses_a_huge_sieve():

@@ -1,7 +1,10 @@
+import pickle
+
 import pytest
 
 from dscurves.errors import InvalidInput
-from dscurves.fpoly import parse_poly, polys_of_degree_at_most, residue_symbol
+from dscurves.fpoly import (Prime, parse_poly, polys_of_degree_at_most,
+                            residue_symbol)
 from dscurves.splitting import (QuadraticField, QuaternionData, mu_y_obstruction,
                                 nonexistence_criterion, splits_quaternion)
 from dscurves.weil import nonsquare_at_infinity
@@ -39,6 +42,13 @@ def test_quaternion_data_validation():
     # one of degree 301 is refused by the pair bound, from degrees alone
     with pytest.raises(InvalidInput, match=r"q\^\(deg ram1 \+ deg ram2\) exceeds"):
         QuaternionData(ram1=p * parse_poly("t^300+t+2", 3), ram2=parse_poly("t", 3))
+
+
+def test_quaternion_data_keeps_its_primes_through_a_pickle():
+    D = QuaternionData(ram1=parse_poly("t^3+t^2+t+2", 3), ram2=parse_poly("t+1", 3))
+    back = pickle.loads(pickle.dumps(D))
+    assert type(back) is QuaternionData and back == D
+    assert type(back.ram1) is Prime and type(back.ram2) is Prime
 
 
 def square_roots(x, r):

@@ -233,6 +233,8 @@ def test_trace_status_matches_norm_reduction(q, max_deg_p):
     # degree 4.  fold(v, q^deg p) % p is v % p at a fraction of the cost
     ys = [y for d in (1, 2) for y in monic_irreducibles(q, d)]
     primes = [p for d in range(1, max_deg_p + 1) for p in monic_irreducibles(q, d)]
+    # y^n mod p takes the exponent 0 at degrees 1 and 2, a powmod above
+    assert {1, 2, 3} <= {p.degree for p in primes}
     if q == 7:
         primes += random.Random(7).sample(monic_irreducibles(q, 4), 12)
     admitted = 0
