@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import ffield
 from .errors import InvalidInput, ParseError, excerpt
 from .fpoly import format_poly, parse_poly
-from .localpoints import LocalReport, LocalWitness, local_all
+from .localpoints import LocalReport, LocalWitness, lambda_cutoff, local_all
 from .splitting import QuadraticField, QuaternionData, nonexistence_criterion
 from .weil import check_norm_degree, exponent_n
 
@@ -158,18 +158,23 @@ def _json(value, kind, label):
     return value
 
 
-def _json_poly(value, q, label):
-    return parse_poly(_json(value, str, label), q)
+def _json_poly(value, q, label, max_degree=None):
+    f = parse_poly(_json(value, str, label), q)
+    if max_degree is not None and f.degree > max_degree:
+        raise SchemaError("%s has degree %d, above the cutoff %d"
+                          % (label, f.degree, max_degree))
+    return f
 
 
 _WITNESS_KEYS = {"l", "a", "c"}
 
 
-def _read_local(local, q):
+def _read_local(local, q, cutoff):
     """The recorded mu and witnesses of a `local` section, as the LocalReport
     that `local_all` checks instead of searching.  The fields it does not
     read stay None: the comparison with the rebuilt section binds them.
-    A null section records no mu and no witness."""
+    A null section records no mu and no witness.  Valid witnesses have 2 *
+    deg a <= deg l <= cutoff, so a recorded degree above it is refused."""
     if local is None:
         local = {"ram1_mu": None, "ram2_mu": None, "witnesses": [],
                  "unwitnessed": []}
@@ -179,11 +184,11 @@ def _read_local(local, q):
         if set(_json(item, dict, "witness")) != _WITNESS_KEYS:
             raise SchemaError("a witness needs exactly the keys a, c and l, got "
                               + excerpt(item))
-        witnesses.append(LocalWitness(l=_json_poly(item["l"], q, "witness l"),
-                                      a=_json_poly(item["a"], q, "witness a"),
-                                      c=_json(item["c"], int, "witness c")))
+        l, a = (_json_poly(item[k], q, "witness " + k, cutoff) for k in "la")
+        c = _json(item["c"], int, "witness c")
+        witnesses.append(LocalWitness(l=l, a=a, c=c))
     unwitnessed = tuple(
-        _json_poly(l, q, "unwitnessed place")
+        _json_poly(l, q, "unwitnessed place", cutoff)
         for l in _json(local["unwitnessed"], list, "local.unwitnessed"))
     mu1, mu2 = (None if local[key] is None else _json(local[key], int, key)
                 for key in ("ram1_mu", "ram2_mu"))
@@ -203,7 +208,7 @@ def _read_inputs(data):
                                  for key in ("y", "ram1", "ram2", "n_poly"))
         D = QuaternionData(ram1=ram1, ram2=ram2)
         K = _quadratic_field(D, y, n_poly, _json(data["eps"], int, "eps"))
-        recorded = _read_local(data["local"], q)
+        recorded = _read_local(data["local"], q, lambda_cutoff(D))
     except KeyError as exc:
         raise SchemaError("missing field %s" % exc) from exc
     except (InvalidInput, ParseError) as exc:

@@ -142,7 +142,10 @@ def cmd_pcheck(args):
     q = args.field_order
     y = _parse(args.y, q, "y")
     p = _parse(args.p, q, "p")
-    rows = [{"weil": str(entry.source), "norm_degree": entry.value.degree,
+    # the trace determines the norm: each distinct one is built once
+    first = {}
+    rows = [{"weil": str(entry.source),
+             "norm_degree": first.setdefault(entry.trace, entry).value.degree,
              "status": status} for entry, status in norm_statuses(p, y)]
     excluded = all(row["status"] != "divides" for row in rows)
     if args.json:
@@ -294,23 +297,11 @@ def cmd_search(args):
     return EXIT_OK
 
 
-_HANDLERS = {
-    "wset": cmd_wset,
-    "pcheck": cmd_pcheck,
-    "pset": cmd_pset,
-    "criterion": cmd_criterion,
-    "local": cmd_local,
-    "certify": cmd_certify,
-    "verify": cmd_verify,
-    "search": cmd_search,
-}
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return globals()["cmd_" + args.command](args)
     except InvalidInput as exc:
         print("invalid input: %s" % exc, file=sys.stderr)
         return EXIT_INVALID

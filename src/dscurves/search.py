@@ -44,7 +44,7 @@ def candidates(y, max_deg1, max_deg2):
 def passes_cheap_filters(D, y):
     """Hypotheses that hold for every n: the mu-obstruction, a mu-witness at
     both ramified primes, and some ramified prime outside P(y).  Symbols
-    come first; the excluded-prime test needs the norms of dset(y)."""
+    come first; the excluded-prime test needs the traces of dset(y)."""
     return (mu_y_obstruction(D, y)
             and ramified_mu(D, "ram1") is not None
             and ramified_mu(D, "ram2") is not None

@@ -3,14 +3,14 @@
 For a monic irreducible y, the admissible quadratics X^2 + a1*X + mu*y
 (deg a1 <= deg(y)/2, mu a unit, discriminant a non-square in the completion
 at infinity) are the minimal polynomials of the Frobenius classes pi the
-non-existence criterion quantifies over.  The key computation is the exact
-norm N(pi^(2n) - y^n) in A, read from the trace V of pi^n (see `dset`); a
-ramified prime is "excluded" when it divides none of the nonzero norms,
-which V mod p decides (see `norm_statuses`).
+non-existence criterion quantifies over.  The key computation is the trace
+V = Tr(pi^n), from which the norm N(pi^(2n) - y^n) in A is read (see
+`dset`); a ramified prime is "excluded" when it divides none of the nonzero
+norms, which V mod p decides with no norm built (see `norm_statuses`).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from . import ffield
@@ -110,33 +110,38 @@ def enumerate_weil(y):
 
 @dataclass(frozen=True)
 class NormEntry:
-    """Norm of pi^(2n) - y^n for one admissible quadratic, and the trace
-    V = Tr(pi^n) it is read from: value = y^n * (4*y^n - V^2)."""
+    """The trace V = Tr(pi^n) for one admissible quadratic, and the y^n
+    that every entry of dset(y) shares.  The norm value = N(pi^(2n) - y^n)
+    = y^n * (4*y^n - V^2) is derived on first read; it is zero iff a1 = 0
+    (proofs in `dset`)."""
 
     source: WeilPoly
-    value: Poly
     trace: Poly
+    y_n: Poly
 
     @property
     def is_zero(self):
-        return self.value.is_zero
+        return not self.source.a1
+
+    @cached_property
+    def value(self):
+        return self.y_n * (4 * self.y_n - self.trace * self.trace)
 
 
-# largest total norm degree of dset(y): the number of entries times the
-# degree of each, although dset computes one norm per orbit.  Measured
-# whole dset on CPython 3.11, one core of a 2-vCPU machine: q = 7, y = t
-# (42 * 4608 = 193536, the largest in the paper's table) takes 0.02 s,
-# q = 5, y = t^2+2 (100 * 2304 = 230400) 0.025-0.035 s and q = 3,
-# y = t^6+t+2 (124416) 0.03-0.05 s.  Refused: q = 7, y = t^2+1 (2.7e6,
-# 0.3-0.4 s), q = 11, y = t (3.2e6, 0.33 s) and a degree-16 y at q = 3 (8.1e7)
+# largest total norm degree of dset(y), entries times the degree of each: it
+# bounds dset's traces, of half that degree, and the norms pcheck and pset
+# read.  Cold dset on CPython 3.11, one core of a 2-vCPU machine: q = 7, y = t
+# (42 * 4608 = 193536) 0.006 s, q = 5, y = t^2+2 (230400) 0.010 s, q = 3,
+# y = t^6+t+2 (124416) 0.016-0.020 s.  Refused: q = 7, y = t^2+1 (2.7e6,
+# 0.06-0.09 s), q = 11, y = t (3.2e6, 0.08-0.13 s), deg y = 16 at q = 3 (8.1e7)
 _MAX_NORM_TOTAL = 250000
 
 
 def check_norm_degree(y):
-    """InvalidInput unless the norms of dset(y) are few and small enough to
-    compute exactly: at most (q - 1) * q^(deg y // 2 + 1) of them, one per
-    (a1, mu), each of degree at most 2n * deg y with n = (q^2 - 1)^2.  It
-    reads degrees only, so it answers at once at any q."""
+    """InvalidInput unless the traces of dset(y) and their norms are few and
+    small enough to compute exactly: at most (q - 1) * q^(deg y // 2 + 1),
+    one per (a1, mu), each norm of degree at most 2n * deg y with n =
+    (q^2 - 1)^2.  It reads degrees only, so it answers at once at any q."""
     q, k = y.q, y.degree // 2 + 1
     if power_exceeds(q, k, _MAX_NORM_TOTAL,
                      (q - 1) * 2 * exponent_n(q, 2) * y.degree):
@@ -168,7 +173,7 @@ def dset(y):
     """One NormEntry per admissible quadratic, in `enumerate_weil` order;
     all-zero iff the excluded-prime set is empty.
 
-    One norm is computed per orbit {(c*a1, c^2*mu) : c in F_q^x}; every
+    One trace is computed per orbit {(c*a1, c^2*mu) : c in F_q^x}; every
     other entry of the orbit reuses it.  The norms of an orbit are equal:
     - if pi is a root of X^2 + a1*X + mu*y, then c*pi is a root of
       X^2 + c*a1*X + c^2*mu*y;
@@ -179,9 +184,10 @@ def dset(y):
     The discriminant scales by the square c^2, so the orbit stays inside
     `enumerate_weil`.
 
-    Each norm comes from V = Tr(pi^n) = pi^n + pibar^n, pibar the other
+    Each entry keeps V = Tr(pi^n) = pi^n + pibar^n, pibar the other
     root, which `_lucas_trace` computes with two products per bit of n
-    from the y^k along the bits of n, computed once per call:
+    from the y^k along the bits of n, computed once per call, and the last
+    of them, y^n; the norm is derived from the two on read:
     - (q - 1) | n, so (pi*pibar)^n = (mu*y)^n = y^n;
     - hence Tr(pi^(2n)) = V^2 - 2*y^n, and
       N(pi^(2n) - y^n) = (pi*pibar)^(2n) - y^n*Tr(pi^(2n)) + y^(2n)
@@ -207,17 +213,13 @@ def dset(y):
         steps.append((bit, k, yk, yk * y))
         yk, k = yk * steps[-1][2 + bit], 2 * k + bit
     # n is even, so the last step starts from k = n/2
-    norms, entries, zero = {}, [], (2 * steps[-1][2], Poly.zero(q))
+    traces, entries, zero_trace = {}, [], 2 * steps[-1][2]
     for w in enumerate_weil(y):
-        if (w.a1, w.mu) not in norms:
-            norm = zero
-            if w.a1:
-                trace = _lucas_trace(w, steps)
-                norm = (trace, yk * (4 * yk - trace * trace))
+        if (w.a1, w.mu) not in traces:
+            trace = _lucas_trace(w, steps) if w.a1 else zero_trace
             for c in range(1, q):
-                norms[c * w.a1, c * c * w.mu % q] = norm
-        trace, value = norms[w.a1, w.mu]
-        entries.append(NormEntry(source=w, value=value, trace=trace))
+                traces[c * w.a1, c * c * w.mu % q] = trace
+        entries.append(NormEntry(source=w, trace=traces[w.a1, w.mu], y_n=yk))
     return tuple(entries)
 
 
@@ -233,9 +235,9 @@ def norm_statuses(p, y):
     "zero norm", "divides" when p divides the nonzero norm, or "coprime".
     p != y are monic irreducibles, so y^n is a unit mod p, y^(n mod
     (q^deg p - 1)) as (A/p)^x has that order, and p divides y^n * (4*y^n -
-    V^2) iff V^2 = 4*y^n mod p: no norm is reduced, only each distinct
-    trace V, and the entries of an orbit (see `dset`) share a status.  p's
-    degree bound comes before its irreducibility test, and `dset` checks y."""
+    V^2) iff V^2 = 4*y^n mod p: no norm is reduced, only each distinct V of
+    a nonzero norm, and the entries of an orbit (see `dset`) share a status.
+    p's degree bound comes before its irreducibility test; `dset` checks y."""
     if p.degree > _MAX_PRIME_DEGREE:
         raise InvalidInput("p has degree %d, above %d"
                            % (p.degree, _MAX_PRIME_DEGREE))
@@ -245,12 +247,11 @@ def norm_statuses(p, y):
     entries, statuses, q = dset(y), {}, y.q
     yn4 = 4 * powmod(y, exponent_n(q, 2) % (q ** p.degree - 1), p)
     for entry in entries:
-        status = statuses.get(entry.trace)
+        status = "zero norm" if entry.is_zero else statuses.get(entry.trace)
         if status is None:
             v = entry.trace % p
             status = statuses[entry.trace] = (
-                "zero norm" if entry.is_zero
-                else "divides" if ((v * v - yn4) % p).is_zero else "coprime")
+                "divides" if ((v * v - yn4) % p).is_zero else "coprime")
         yield entry, status
 
 
@@ -276,9 +277,11 @@ def p_excluded(p, y):
 
 def pset(y, seed=0):
     """The full excluded-prime set: prime divisors of nonzero norm entries,
-    deduplicated and sorted.  Each distinct norm is factored once: the
-    entries of an orbit (see `dset`) share theirs."""
+    deduplicated and sorted.  Each distinct norm is built and factored
+    once: the trace determines it, and the entries of an orbit (see `dset`)
+    share theirs."""
     primes = set()
-    for value in {entry.value for entry in dset(y) if not entry.is_zero}:
-        primes.update(f for f, _ in factor(value, seed=seed).factors)
+    nonzero = {entry.trace: entry for entry in dset(y) if not entry.is_zero}
+    for entry in nonzero.values():
+        primes.update(f for f, _ in factor(entry.value, seed=seed).factors)
     return sorted(primes, key=lambda f: f.sort_key())

@@ -9,8 +9,8 @@ import time
 
 import pytest
 
-from dscurves.certificate import (admissible_eps_set, hasse_certificate,
-                                  verify_certificate)
+from dscurves.certificate import (SchemaError, admissible_eps_set,
+                                  hasse_certificate, verify_certificate)
 from dscurves.fpoly import (Poly, factor, is_irreducible, monic_irreducibles,
                             parse_poly, polys_of_degree_at_most,
                             residue_symbol)
@@ -179,11 +179,16 @@ def test_criterion_6_property_suites(capsys):
     for w in base["local"]["witnesses"]:
         mutated = copy.deepcopy(base)
         idx = base["local"]["witnesses"].index(w)
-        # move a outside the proven region and break the discriminant class
-        mutated["local"]["witnesses"][idx]["a"] = "t^9"
+        # move a outside the proven region (2 deg a > deg l <= 4) and break
+        # the discriminant class
+        mutated["local"]["witnesses"][idx]["a"] = "t^3"
         code, _ = verify_certificate(mutated)
         if code != 1:
             ok = False
+        # above lambda_cutoff(D) = 6, a is refused as soon as it is read
+        mutated["local"]["witnesses"][idx]["a"] = "t^9"
+        with pytest.raises(SchemaError):
+            verify_certificate(mutated)
 
     ok = ok and (time.time() - t0) <= 300.0
     report(capsys, 6, "property suites (symbol oracle, Gauss counts, reciprocity, "
@@ -193,7 +198,7 @@ def test_criterion_6_property_suites(capsys):
 def test_criterion_7_zero_norm_dichotomy(capsys):
     y = parse_poly("t", 3)
     entries = dset(y)
-    ok = all(e.is_zero == e.source.a1.is_zero for e in entries)
+    ok = all(e.value.is_zero == e.source.a1.is_zero for e in entries)
     ok = ok and any((not e.is_zero) and (not e.source.a1.is_zero)
                     for e in entries)
     report(capsys, 7, "zero-norm dichotomy at q=3, y=t", ok)

@@ -280,6 +280,11 @@ def test_schema_errors():
                         (("local", "witnesses", 0, "extra"), 1),
                         (("local", "witnesses", 0, "a"), "t^" + "9" * 5000),
                         (("local", "witnesses", 0, "a"), "t^1000000000"),
+                        # above lambda_cutoff(D) = 6, which bounds every
+                        # valid witness and unwitnessed place
+                        (("local", "witnesses", 0, "l"), "t^99999"),
+                        (("local", "witnesses", 0, "a"), "t^7"),
+                        (("local", "unwitnessed"), ["t^7+1"]),
                         (("y",), "t^" + "9" * 5000),
                         (("y",), "t^1000000000"),
                         (("field_order",), 2 ** 61 - 1),

@@ -180,6 +180,20 @@ def test_verify_refuses_a_long_n_poly_from_its_degree(capsys, tmp_path):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_verify_refuses_witnesses_above_the_cutoff(capsys, tmp_path):
+    # a recorded witness above lambda_cutoff(D) = 6 is refused as it is
+    # parsed: 1000 of degree 99999 took 23 s and 1.5 GB when each was
+    # built and checked
+    data = json.loads((REFERENCE / "cert0.json").read_text())
+    data["local"]["witnesses"] += [{"l": "t^99999", "a": "t^99999", "c": 1}] * 1000
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    t0 = time.perf_counter()
+    code, _, err = run(["verify", str(path)], capsys)
+    assert code == 3 and "above the cutoff 6" in err and len(err) < 200
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_verify_unreadable_file(capsys, tmp_path):
     code, _, _ = run(["verify", "/nonexistent/cert.json"], capsys)
     assert code == 3

@@ -4,6 +4,7 @@ import random
 import pytest
 import sympy
 
+from dscurves import fpoly
 from dscurves.errors import InvalidInput
 from dscurves.fpoly import Poly, factor, monic_irreducibles, parse_poly
 from dscurves.weil import (check_norm_degree, dset, enumerate_weil, exponent_n,
@@ -179,11 +180,11 @@ NORM_CASES = ((3, "t"), (3, "t^2+1"), (3, "t^3+2t+1"), (5, "t"), (5, "t^2+2"),
 
 
 def test_dset_orbit_norms_match_per_entry_oracle():
-    # dset computes one norm per orbit (c*a1, c^2*mu) from the trace of
-    # pi^n, by the Lucas ladder or, when a1 = 0, as 2*y^(n/2); the oracles
-    # compute every entry's norm of pi^(2n) - y^n and trace 2u - a1*v of
-    # pi^n = u + v*pi on their own, by square-and-multiply in A[pi].  A
-    # degree-6 y at q = 3 adds the largest norms of the cases
+    # dset computes one trace of pi^n per orbit (c*a1, c^2*mu), by the Lucas
+    # ladder or, when a1 = 0, as 2*y^(n/2), and each entry's norm derives
+    # from it; the oracles compute every entry's norm of pi^(2n) - y^n and
+    # trace 2u - a1*v of pi^n = u + v*pi on their own, by square-and-multiply
+    # in A[pi].  A degree-6 y at q = 3 adds the largest norms of the cases
     for q, ytxt in NORM_CASES + ((3, "t^6+t+2"),):
         y = parse_poly(ytxt, q)
         n = exponent_n(q, 2)
@@ -249,12 +250,33 @@ def test_trace_status_matches_norm_reduction(q, max_deg_p):
 
 
 def test_dset_zero_norm_dichotomy():
-    # an entry is zero iff a1 = 0 (proof in dset's docstring)
+    # an entry's norm is zero iff a1 = 0 (proof in dset's docstring), which
+    # is how is_zero decides it without the norm
     for q, ytxt in NORM_CASES:
         entries = dset(parse_poly(ytxt, q))
         for entry in entries:
-            assert entry.is_zero == entry.source.a1.is_zero
+            assert entry.value.is_zero == entry.source.a1.is_zero
         assert any(not e.is_zero for e in entries)
+
+
+def test_dset_builds_traces_not_norms(monkeypatch):
+    # a cold dset at q = 7, y = t multiplies nothing longer than y^n, of
+    # n * deg y + 1 = 2305 coefficients, while a norm y^n * (4*y^n - V^2)
+    # has up to 2n * deg y + 1 = 4609.  Poly.__mul__ looks _mul_coeffs up
+    # at each call
+    longest = [0]
+    mul = fpoly._mul_coeffs
+
+    def recording_mul(a, b, q):
+        out = mul(a, b, q)
+        longest[0] = max(longest[0], len(out))
+        return out
+
+    y = parse_poly("t", 7)
+    dset.cache_clear()
+    monkeypatch.setattr(fpoly, "_mul_coeffs", recording_mul)
+    dset(y)
+    assert longest[0] == exponent_n(7, 2) * y.degree + 1 == 2305
 
 
 def test_dset_nonzero_entries_are_not_units():
