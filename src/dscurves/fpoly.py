@@ -12,8 +12,8 @@ coefficients each.
 Beyond ring arithmetic this module provides one square-and-multiply loop
 for every power, Ben-Or's irreducibility test (the first step of
 distinct-degree factorization), a sieve of monic irreducibles, seeded
-Cantor-Zassenhaus factorization, the residue symbol by reciprocity, squares
-mod a prime (for the local scan only), valuations and the CLI's grammar.
+Cantor-Zassenhaus factorization, the residue symbol by reciprocity,
+valuations and the CLI's grammar.
 """
 
 import itertools
@@ -492,22 +492,6 @@ def is_squarefree(f):
         return True
     d = f.derivative()
     return (not d.is_zero) and poly_gcd(f, d).degree == 0
-
-
-# the two primes of the D whose local-battery table is built: a search
-# certifies its pairs grouped by ram1, so ram1's set is reused
-@lru_cache(maxsize=2)
-def square_residues(p):
-    """The nonzero squares mod the monic irreducible p, as a frozenset of
-    the canonical coefficient tuples (`Poly.coeffs`) of their reductions.
-    A residue r != 0 with deg r < deg p is a square iff r.coeffs is in it.
-    a and -a have the same square, so only the a with leading coefficient
-    at most (q - 1)/2 are squared: one product and one division for each
-    of half the residues."""
-    half = p.q // 2
-    return frozenset(((a * a) % p).coeffs
-                     for a in polys_of_degree_at_most(p.q, p.degree - 1)
-                     if 0 < a.leading_coeff <= half)
 
 
 def residue_symbol(a, p):

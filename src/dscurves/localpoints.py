@@ -8,19 +8,19 @@ Places of large degree need no witness (degree-bound lemma), and a uniform
 bound m, when one exists, discharges every place of degree >= 2m + 1 so
 explicit searches stop at degree 2m.
 
-The search for m and the witness search read one table per D of the
-candidates a, with what the residue symbols at both ramified primes need
-of a^2; `witness_ok`, the rule that `verify` applies, recomputes each
-witness exactly.
+The search for m and the witness search read one table per ramified
+prime, with its squares, its units and a^2 mod it for the candidates a,
+kept for the two primes of the current D; `witness_ok`, the rule that
+`verify` applies, recomputes each witness exactly.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import ffield
 from .errors import InvalidInput
 from .fpoly import (Poly, format_poly, monic_irreducibles,
-                    polys_of_degree_at_most, square_residues)
+                    polys_of_degree_at_most)
 from .splitting import splits_quaternion
 from .weil import nonsquare_at_infinity
 
@@ -38,8 +38,8 @@ class LocalWitness:
 def _nonsplit_disc(D, disc):
     """True iff F(sqrt(disc)) is non-split at infinity, ram1 and ram2: the
     rule of `splits_quaternion` plus infinity.  It is the witness rule of
-    `witness_ok`, which `witness_search` decides from its table and
-    applies itself where that cannot, and the mu-witness rule."""
+    `witness_ok`, which `witness_search` decides from the residue tables
+    and applies itself where they cannot, and the mu-witness rule."""
     return nonsquare_at_infinity(disc) and splits_quaternion(D, disc)
 
 
@@ -135,125 +135,125 @@ def _candidate(q, i):
     return Poly._raw(q, tuple(reversed(cs)))
 
 
-def _symbol_mask(x, units, squares):
-    """Bitmask over units, for the residue x mod a prime whose nonzero
-    squares are `squares` (its `square_residues`): bit j is set iff
-    x + units[j] is a nonzero non-square, bit len(units) + j iff it is 0."""
-    n = len(units)
-    mask = 0
-    for j, u in enumerate(units):
-        d = x + u
-        if not d:
-            mask |= 1 << (n + j)
-        elif d.coeffs not in squares:
-            mask |= 1 << j
-    return mask
+class _Residues:
+    """What the symbols at one ramified prime r read, packed and built on
+    demand: r's nonzero squares, its units in `polys_of_degree_at_most`
+    order, and a^2 mod r for the candidates a in enumeration order.
 
+    `_tables(D)` names P, the table of the prime with more units, and S,
+    the other's.  By CRT the symbols of a^2 + x at both primes depend on x
+    mod each prime only: at P the symbol is one carry-free sum and one
+    look-up in `squares`, at S one bit of a's mask, so the masks and the
+    `index` of the units are built only once r plays S.
 
-class _ResidueTable:
-    """What the symbols of a^2 - b at both ramified primes need to know of
-    each candidate a, in enumeration order, built one degree level at a
-    time on demand: `fast_m_bound` and `witness_search` read the same one.
-
-    Call p the prime with more units and s the other.  Candidate i keeps
-    a^2 mod p, packed, in `a2p[i]` and in `masks[i]` the `_symbol_mask` of
-    a^2 mod s over `units_s`.  By CRT the symbols of a^2 + r at p and at s
-    depend on r mod p and r mod s only; at s the symbol is one bit of the
-    mask, and at p one carry-free sum and one look-up in `squares_p`.
-
-    A residue mod p is packed as one int, coefficient i in the `width`-bit
+    A residue mod r is packed as one int, coefficient i in the `width`-bit
     slot i.  `add` sums two residues slot by slot, each sum below 2q, and
     subtracts q from every slot that reached q: a slot holding v reads
     v + 2^(width-1) - q after adding `bias`, below 2^width, so its top
     bit, collected by `high`, is set iff v >= q, and no carry crosses a
-    slot.
+    slot.  u and -u have the same square, so only the units with leading
+    coefficient at most (q - 1)/2 are squared.
     """
 
-    def __init__(self, D):
-        q = D.q
-        p, s = ((D.ram1, D.ram2) if D.ram1.degree >= D.ram2.degree
-                else (D.ram2, D.ram1))
-        self.q, self.p, self.s = q, p, s
+    def __init__(self, r):
+        q = r.q
+        self.q, self.r = q, r
         self.width = q.bit_length() + 1
-        slots = range(p.degree)
+        slots = range(r.degree)
         self.high = sum(1 << (k * self.width + self.width - 1) for k in slots)
         self.bias = sum(((1 << (self.width - 1)) - q) << (k * self.width)
                         for k in slots)
-        self.squares_p = frozenset(self.pack(r) for r in square_residues(p))
-        self.squares_s = square_residues(s)
-        self.units_s = [r for r in polys_of_degree_at_most(q, s.degree - 1) if r]
-        self.unit_index_s = {r.coeffs: j for j, r in enumerate(self.units_s)}
-        self.a2p, self.masks = [], []
-        self.level = -1
-        self._packed = {}  # a^2 mod p coefficients -> packed, shared
-        self._masks = {}  # a^2 mod s -> mask, shared
+        self.units = [self.pack(u.coeffs)
+                      for u in polys_of_degree_at_most(q, r.degree - 1) if u]
+        self.squares = frozenset(
+            self.pack(((u * u) % r).coeffs)
+            for u in polys_of_degree_at_most(q, r.degree - 1)
+            if 0 < u.leading_coeff <= q // 2)
+        self.a2, self.masks = [], []
+        self._masks = {}  # a^2 mod r, packed -> its mask, shared
 
     def pack(self, coeffs):
         return sum(c << (k * self.width) for k, c in enumerate(coeffs))
 
     def add(self, x, y):
-        """The packed sum of two packed residues mod p."""
+        """The packed sum of two packed residues mod r."""
         d = x + y
         return d - (((d + self.bias) & self.high) >> (self.width - 1)) * self.q
 
-    def extend(self, level):
-        """Build the candidates up to degree level `level`."""
-        q, p, s, sq_s = self.q, self.p, self.s, self.squares_s
-        while self.level < level:
-            self.level += 1
-            k = self.level
-            for i in range(q ** k if k else 0, q ** (k + 1)):
-                a = _candidate(q, i)
-                a2 = a * a
-                a2s, cs = a2 % s, (a2 % p).coeffs
-                if a2s not in self._masks:
-                    self._masks[a2s] = _symbol_mask(a2s, self.units_s, sq_s)
-                if cs not in self._packed:
-                    self._packed[cs] = self.pack(cs)
-                self.a2p.append(self._packed[cs])
-                self.masks.append(self._masks[a2s])
+    @cached_property
+    def index(self):
+        """Packed unit -> its bit in a mask."""
+        return {u: j for j, u in enumerate(self.units)}
+
+    def extend(self, count):
+        """a^2 mod r for the candidates below `count`."""
+        for i in range(len(self.a2), count):
+            a = _candidate(self.q, i)
+            self.a2.append(self.pack(((a * a) % self.r).coeffs))
+
+    def extend_masks(self, count):
+        """The masks of the candidates below `count`: bit j of a's mask is
+        set iff a^2 + units[j] is a nonzero non-square mod r, bit
+        len(units) + j iff it is 0 (0 is not in `squares`)."""
+        self.extend(count)
+        n = len(self.units)
+        for x in self.a2[len(self.masks):count]:
+            if x not in self._masks:
+                sums = [self.add(x, u) for u in self.units]
+                self._masks[x] = sum(1 << (j if d else n + j)
+                                     for j, d in enumerate(sums)
+                                     if d not in self.squares)
+            self.masks.append(self._masks[x])
 
 
-# one D at a time: local_all reads one table for fast_m_bound and every
-# witness_search of its D, and a search moves on to the next D
-@lru_cache(maxsize=1)
-def _residue_table(D):
-    return _ResidueTable(D)
+# the tables of the two primes of the current D: a search's pairs come
+# grouped by ram1, so ram1's table lasts from one D to the next
+@lru_cache(maxsize=2)
+def _residues(r):
+    return _Residues(r)
+
+
+def _tables(D):
+    """(P, S): the tables of D's prime with more units, ram1 on a tie, and
+    of the other."""
+    one, two = _residues(D.ram1), _residues(D.ram2)
+    return (one, two) if D.ram1.degree >= D.ram2.degree else (two, one)
 
 
 def witness_search(D, l):
     """First witness in the deterministic order (c ascending, a by degree
     then lex, deg a <= deg l // 2); None when that space is exhausted.
 
-    It decides the rule of `_nonsplit_disc` for disc = a^2 - 4c*l from
-    `_residue_table(D)`, reducing l mod both primes once:
-    - at s the symbol is bit j of a's mask, where units_s[j] is
-      -4c*l mod s, a unit because l is coprime to s;
-    - at p it looks up (a^2 mod p) - 4c*(l mod p) in the squares;
+    It decides the rule of `_nonsplit_disc` for disc = a^2 - 4c*l from the
+    tables (P, S) of `_tables(D)`, reducing l mod both primes once:
+    - at S's prime the symbol is bit j of a's mask, where S.units[j] is
+      -4c*l mod that prime, a unit because l is coprime to it;
+    - at P's prime it looks up (a^2 mod p) - 4c*(l mod p) in the squares;
     - at infinity, when 2 deg a < deg l, disc has the degree and leading
       coefficient of -4c*l, so it is non-split for every such a or for
       none; only when 2 deg a = deg l is the exact rule needed.  When it
       fails, only the top level deg a = deg l / 2 is scanned;
-    - a zero symbol, a^2 = 4c*l mod p or mod s, takes the exact rule,
-      which reads the valuation, unless the symbol at p is +1: p then
-      splits, and the exact rule rejects a without reading s.
+    - a zero symbol, a^2 = 4c*l mod either prime, takes the exact rule,
+      which reads the valuation, unless the symbol at P's prime is +1: it
+      then splits, and the exact rule rejects a without reading S's.
     """
     q = D.q
-    table = _residue_table(D)
-    lp, ls = l % table.p, l % table.s
+    P, S = _tables(D)
+    lp, ls = l % P.r, l % S.r
     if not lp or not ls:
         raise InvalidInput("l must be coprime to the ramified primes")
     half = l.degree // 2
-    table.extend(half)
     count = q ** (half + 1)  # the candidates of degree <= half
+    P.extend(count)
+    S.extend_masks(count)
     # the first candidate with 2 deg a = deg l, if any
     top_start = q ** half if l.degree % 2 == 0 else count
-    a2p, masks, squares_p, add = table.a2p, table.masks, table.squares_p, table.add
-    n_s = len(table.units_s)
+    a2p, masks, squares_p, add = P.a2, S.masks, P.squares, P.add
+    n_s = len(S.units)
     for c in range(1, q):
         cl4 = 4 * c * l
-        tp = table.pack(((-4 * c) * lp).coeffs)
-        bit = 1 << table.unit_index_s[((-4 * c) * ls).coeffs]
+        tp = P.pack(((-4 * c) * lp).coeffs)
+        bit = 1 << S.index[S.pack(((-4 * c) * ls).coeffs)]
         zero_bit = bit << n_s
         for i in range(0 if nonsquare_at_infinity(-cl4) else top_start, count):
             mask = masks[i]
@@ -288,31 +288,32 @@ def fast_m_bound(D):
     runs over the units as b_i does, so a pair is a pair of units (r, s)
     and a covers it iff a^2 + r and a^2 + s are nonzero non-squares.
 
-    The candidates come from `_residue_table(D)`, which names the primes p
-    and s.  For each unit r of p, `pending` holds the units of s not yet
-    covered; a scan of the candidates tests r's symbol only for an a
-    whose mask meets `pending`, then clears those bits.  The first a to clear a bit is the least a in
-    enumeration order, so of least degree, covering that pair: m is the
-    highest level a pair needed.  A level is built only when a scan has
-    used up the levels built so far, and m is None once a scan uses up
-    level deg(ram1)+deg(ram2)-2.
+    The candidates come from the tables (P, S) of `_tables(D)`.  For each
+    unit r of P's prime, `pending` holds the units of S's not yet covered;
+    a scan of the candidates tests r's symbol only for an a whose mask
+    meets `pending`, then clears those bits.  The first a to clear a bit is
+    the least a in enumeration order, so of least degree, covering that
+    pair: m is the highest level a pair needed.  A level is built in both
+    tables only when a scan has used up the levels built so far, and m is
+    None once a scan uses up level deg(ram1)+deg(ram2)-2.
     """
     q = D.q
-    table = _residue_table(D)
+    P, S = _tables(D)
     top = D.ram1.degree + D.ram2.degree - 2
     limit = q ** (top + 1)  # the candidates of degree <= top
-    units_p = [table.pack(r.coeffs)
-               for r in polys_of_degree_at_most(q, table.p.degree - 1) if r]
-    a2p, masks, squares_p, add = table.a2p, table.masks, table.squares_p, table.add
+    a2p, masks, squares_p, add = P.a2, S.masks, P.squares, P.add
     worst, above = 0, q  # the first candidate above level worst
-    for r in units_p:
-        pending = (1 << len(table.units_s)) - 1
+    built = 0  # the candidates of the levels this call has built
+    for r in P.units:
+        pending = (1 << len(S.units)) - 1
         i = 0
         while pending:
-            if i == limit:
-                return None
-            if i == len(masks):
-                table.extend(table.level + 1)
+            if i == built:
+                if built == limit:
+                    return None
+                built = built * q if built else q
+                P.extend(built)
+                S.extend_masks(built)
             bits = masks[i]
             if pending & bits:
                 d = add(a2p[i], r)

@@ -19,6 +19,15 @@ from .fpoly import (Poly, format_poly, is_squarefree, power_exceeds,
 from .weil import p_excluded
 
 
+# largest degree of K's radical, read before its square-free test, which is
+# Euclid's algorithm, quadratic in the degree.  Measured `is_squarefree` of
+# a dense monic radical on CPython 3.11, one core of a 2-vCPU machine:
+# degree 1100 takes 0.07 s at q = 3 and 0.27 s at q = 3037000493, 8000
+# takes 4.5 s at q = 3.  No certificate meets it: its radical y * ram1 *
+# ram2 * n_poly has degree at most 7 + 10 + 1000 = 1017, at q = 3
+_MAX_RADICAL_DEGREE = 1100
+
+
 @dataclass(frozen=True)
 class QuadraticField:
     """K = F(sqrt(eps * radical)); radical monic square-free of degree >= 1."""
@@ -33,6 +42,9 @@ class QuadraticField:
         object.__setattr__(self, "eps", self.eps % q)
         if not self.radical.is_monic or self.radical.degree < 1:
             raise InvalidInput("radical must be monic of degree >= 1")
+        if self.radical.degree > _MAX_RADICAL_DEGREE:
+            raise InvalidInput("radical has degree %d, above %d"
+                               % (self.radical.degree, _MAX_RADICAL_DEGREE))
         if not is_squarefree(self.radical):
             raise InvalidInput("radical must be square-free")
 
@@ -51,7 +63,7 @@ class QuadraticField:
 # largest q^(deg ram1 + deg ram2) accepted: about the number of residue
 # pairs fast_m_bound covers, and of the squares it tabulates.  Measured
 # fast_m_bound on CPython 3.11, one core of a 2-vCPU machine, at 4-12e-6 s
-# per pair, most of it square_residues of the larger prime: 3^10
+# per pair, most of it the table of squares of the larger prime: 3^10
 # (t^9+t^7+2t^6+1, t+1) takes 0.47 s, 5^7 (t^6+2t^5+3, t+2) 0.34 s.
 # Refused: 7^6 (t^5+t^4+4, t+3, 0.37 s) and 3^11 (t^10+t^8+t^7+2t^6+2, t+1,
 # 1.5 s).  The limit stays, since raising it would admit new inputs

@@ -237,14 +237,16 @@ def norm_statuses(p, y):
     (q^deg p - 1)) as (A/p)^x has that order, and p divides y^n * (4*y^n -
     V^2) iff V^2 = 4*y^n mod p: no norm is reduced, only each distinct V of
     a nonzero norm, and the entries of an orbit (see `dset`) share a status.
-    p's degree bound comes before its irreducibility test; `dset` checks y."""
+    p's degree bound comes first, then `dset`'s checks of y, so a y that
+    `dset` refuses costs no irreducibility test of p."""
     if p.degree > _MAX_PRIME_DEGREE:
         raise InvalidInput("p has degree %d, above %d"
                            % (p.degree, _MAX_PRIME_DEGREE))
+    entries = dset(y)
     require_monic_irreducible(p, "p")
     if p == y:
         raise InvalidInput("p must differ from y")
-    entries, statuses, q = dset(y), {}, y.q
+    statuses, q = {}, y.q
     yn4 = 4 * powmod(y, exponent_n(q, 2) % (q ** p.degree - 1), p)
     for entry in entries:
         status = "zero norm" if entry.is_zero else statuses.get(entry.trace)

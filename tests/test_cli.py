@@ -307,15 +307,36 @@ def test_each_input_gets_one_irreducibility_test(capsys, monkeypatch, tmp_path):
         assert code == 0 and len(calls) == want, (argv[0], len(calls))
 
 
+def test_norm_statuses_refuses_y_before_testing_p(monkeypatch):
+    # dset(y) refuses y = t^2+1 at q = 7 by its norm bound, before p gets
+    # the Ben-Or test that a dense p of degree 200 takes seconds to run
+    calls = []
+    distinct_degree = fpoly._distinct_degree
+
+    def counted(f):
+        calls.append(f)
+        return distinct_degree(f)
+
+    monkeypatch.setattr(fpoly, "_distinct_degree", counted)
+    q = 7
+    with pytest.raises(InvalidInput):
+        list(weil.norm_statuses(parse_poly("t^3+2", q), parse_poly("t^2+1", q)))
+    assert calls == []
+
+
 def test_library_refuses_degree_3000_from_degrees():
     # every entry point reads its degree bound before any irreducibility
-    # test, which would take minutes at degree 3000
+    # test, which would take minutes at degree 3000, or square-free test
     q = 3
     big = parse_poly("t^3000+t+2", q)
     y, r1, r2 = (parse_poly(text, q) for text in ("t", "t^3+t^2+t+2", "t+1"))
     D = QuaternionData(ram1=r1, ram2=r2)
     K = QuadraticField(eps=1, radical=y * r1 * r2)
+    # a dense monic radical: its square-free test would take over 10 s
+    rng = random.Random(16000)
+    dense = Poly(q, [rng.randrange(q) for _ in range(16000)] + [1])
     for call in (lambda: QuaternionData(ram1=big, ram2=r2),
+                 lambda: QuadraticField(eps=1, radical=dense),
                  lambda: hasse_certificate(D, big, Poly.one(q), 1),
                  lambda: nonexistence_criterion(D, big, K),
                  lambda: list(weil.norm_statuses(big, y)),

@@ -7,13 +7,13 @@ import time
 import pytest
 import sympy
 
-from dscurves import fpoly
+from dscurves import fpoly, localpoints
 from dscurves.errors import InvalidInput, ParseError
 from dscurves.fpoly import (Poly, Prime, factor, format_poly, is_irreducible,
                             is_squarefree, monic_irreducibles, parse_poly,
                             poly_gcd, polys_of_degree_at_most, powmod,
                             require_monic_irreducible, residue_symbol,
-                            square_residues, valuation)
+                            valuation)
 from oracles import gauss_irreducible_count
 
 X = sympy.Symbol("x")
@@ -404,9 +404,10 @@ def test_square_residues_matches_squaring_every_residue():
               (7, "t+3"), (3, "t^9+t^7+2t^6+1")]
     for q, text in primes:
         p = parse_poly(text, q)
-        want = {((a * a) % p).coeffs
+        table = localpoints._Residues(p)
+        want = {table.pack(((a * a) % p).coeffs)
                 for a in polys_of_degree_at_most(q, p.degree - 1) if a}
-        assert square_residues(p) == want, (q, text)
+        assert table.squares == want, (q, text)
         assert len(want) == (q ** p.degree - 1) // 2
 
 
@@ -443,14 +444,14 @@ def test_residue_symbol_matches_euler_criterion():
 
 
 def test_residue_symbol_builds_no_square_table():
-    # the symbol is one reciprocity loop: only the local battery's table
-    # fills square_residues
+    # the symbol is one reciprocity loop: only the local battery builds
+    # tables of squares
     rng = random.Random(13)
-    square_residues.cache_clear()
+    localpoints._residues.cache_clear()
     for i in range(30):
         p = rng.choice(monic_irreducibles(3, 3 + i % 5))
         residue_symbol(random_poly(3, 2 * p.degree, rng, nonzero=True), p)
-    assert square_residues.cache_info().misses == 0
+    assert localpoints._residues.cache_info().misses == 0
 
 
 def test_quadratic_reciprocity_random():

@@ -164,9 +164,42 @@ def test_fast_m_bound_matches_oracle():
 def test_fast_m_bound_above_the_old_table_cap():
     # q^9 = 19683 residues mod ram1, above the size at which an older
     # residue_symbol stopped tabulating squares: fast_m_bound still reads
-    # every symbol at ram1 from square_residues
+    # every symbol at ram1 from ram1's table of squares
     D = table_D(3, "t^9+t^7+2t^6+1", "t+1")
     assert fast_m_bound(D) == 4
+
+
+def local_searches(D):
+    """m and every witness up to the witness cutoff, with fast_m_bound's
+    own cache passed by, so each call reads the residue tables."""
+    m = fast_m_bound.__wrapped__(D)
+    return m, [witness_search(D, l) for l in lambda_set(D, witness_cutoff(D, m))]
+
+
+@pytest.mark.parametrize("q, max_deg1, max_deg2", [(3, 4, 2), (5, 3, 1)])
+def test_warm_tables_give_what_cold_tables_give(q, max_deg1, max_deg2):
+    # in candidate order a table outlives its D: ram1 plays P and then S
+    # when its partner's degree passes its own, and an earlier D may have
+    # extended P's a^2 further than S's masks.  m and the witnesses must be
+    # those of tables built for D alone
+    Ds = window_Ds(q, max_deg1, max_deg2)
+    localpoints._residues.cache_clear()
+    warm = [local_searches(D) for D in Ds]
+    for D, got in zip(Ds, warm):
+        localpoints._residues.cache_clear()
+        assert local_searches(D) == got, D
+
+
+def test_ram1_table_is_built_once_across_its_partners():
+    # ram1 = t^2+1 meets partners of degree 1, 2 and 3, playing P and S
+    q = 3
+    ram1 = parse_poly("t^2+1", q)
+    partners = [s for d in (1, 2, 3) for s in monic_irreducibles(q, d)
+                if s != ram1]
+    localpoints._residues.cache_clear()
+    for s in partners:
+        local_searches(QuaternionData(ram1=ram1, ram2=s))
+    assert localpoints._residues.cache_info().misses == 1 + len(partners)
 
 
 def test_local_all_known_triples_fast_rows():
