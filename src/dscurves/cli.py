@@ -20,7 +20,7 @@ from .certificate import (VALID, SchemaError, hasse_certificate,
 from .errors import InvalidInput, ParseError, excerpt
 from .fpoly import format_poly, parse_poly
 from .localpoints import local_all
-from .search import search
+from .search import MAX_WORKERS, search
 from .splitting import QuadraticField, QuaternionData, nonexistence_criterion
 from .weil import enumerate_weil, norm_statuses, pset
 
@@ -105,7 +105,8 @@ def build_parser():
     p.add_argument("--max-deg2", type=int, required=True)
     p.add_argument("--y", default="t")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker processes for certification")
+                   help="worker processes for certification, at most %d"
+                   % MAX_WORKERS)
     return parser
 
 

@@ -374,16 +374,21 @@ def monic_irreducibles(q, degree):
                                         composite) if not marked)
 
 
+def coeff_tuples(q, maxdeg=None):
+    """The coefficient tuples of the polynomials of degree <= maxdeg, of
+    every degree when maxdeg is None: the empty tuple of zero first, then
+    by degree, and lexicographically within a degree, coefficient 0 most
+    significant.  This is the one enumeration order of the program."""
+    yield ()
+    for deg in itertools.count() if maxdeg is None else range(maxdeg + 1):
+        yield from itertools.product(*[range(q)] * deg, range(1, q))
+
+
 def polys_of_degree_at_most(q, maxdeg):
-    """All polynomials with degree <= maxdeg, zero first, ordered by degree
-    then lexicographically on coefficient vectors."""
+    """All polynomials with degree <= maxdeg, in `coeff_tuples` order."""
     ffield.validate_field_order(q)
-    yield Poly.zero(q)
-    for deg in range(0, maxdeg + 1):
-        for cs in itertools.product(range(q), repeat=deg + 1):
-            if cs[-1] == 0:
-                continue
-            yield Poly._raw(q, cs)
+    for cs in coeff_tuples(q, maxdeg):
+        yield Poly._raw(q, cs)
 
 
 @dataclass(frozen=True)

@@ -10,17 +10,22 @@ explicit searches stop at degree 2m.
 
 The search for m and the witness search read one table per ramified
 prime, with its squares, its units and a^2 mod it for the candidates a,
-kept for the two primes of the current D; `witness_ok`, the rule that
-`verify` applies, recomputes each witness exactly.
+kept for the two primes of the current D.  The tables and each place's
+set-up work on residues packed into ints, squared and reduced on plain
+ints, with no `Poly` operation.  `Poly` arithmetic is left to the exact
+rule of `witness_ok`, which `verify` applies to every recorded witness
+and the search where a symbol is zero or infinity needs the whole
+discriminant.
 """
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import ffield
 from .errors import InvalidInput
-from .fpoly import (Poly, format_poly, monic_irreducibles,
-                    polys_of_degree_at_most)
+from .fpoly import (Poly, _mul_coeffs, coeff_tuples, format_poly,
+                    monic_irreducibles)
 from .splitting import splits_quaternion
 from .weil import nonsquare_at_infinity
 
@@ -110,23 +115,18 @@ def lambda_set(D, max_degree):
     return out
 
 
-def _level(q, i):
-    """Degree level of candidate i: level 0 is zero and the constants,
-    candidates 0 to q - 1, and level k >= 1 the (q - 1) * q^k polynomials
-    of degree k, candidates q^k to q^(k+1) - 1."""
+def _candidate(q, i):
+    """The i-th polynomial of `coeff_tuples` order.  Level 0 is zero and
+    the constants, candidates 0 to q - 1, and level k >= 1 the
+    (q - 1) * q^k polynomials of degree k, candidates q^k to q^(k+1) - 1.
+    For i >= 1 in level k, i - q^k has the digits c_0, ..., c_(k-1) in
+    base q, c_0 most significant, then c_k - 1 as its last digit, in base
+    q - 1."""
+    if i == 0:
+        return Poly._raw(q, ())
     k = 0
     while q ** (k + 1) <= i:
         k += 1
-    return k
-
-
-def _candidate(q, i):
-    """The i-th polynomial of `polys_of_degree_at_most` order.  For i >= 1
-    in level k, i - q^k has the digits c_0, ..., c_(k-1) in base q, c_0
-    most significant, then c_k - 1 as its last digit, in base q - 1."""
-    if i == 0:
-        return Poly._raw(q, ())
-    k = _level(q, i)
     j, lead = divmod(i - q ** k, q - 1)
     cs = [lead + 1]
     for _ in range(k):
@@ -137,8 +137,9 @@ def _candidate(q, i):
 
 class _Residues:
     """What the symbols at one ramified prime r read, packed and built on
-    demand: r's nonzero squares, its units in `polys_of_degree_at_most`
-    order, and a^2 mod r for the candidates a in enumeration order.
+    demand from coefficient tuples in `coeff_tuples` order, with no `Poly`
+    operation per entry: r's nonzero squares, its units, and a^2 mod r for
+    the candidates a.
 
     `_tables(D)` names P, the table of the prime with more units, and S,
     the other's.  By CRT the symbols of a^2 + x at both primes depend on x
@@ -151,34 +152,56 @@ class _Residues:
     subtracts q from every slot that reached q: a slot holding v reads
     v + 2^(width-1) - q after adding `bias`, below 2^width, so its top
     bit, collected by `high`, is set iff v >= q, and no carry crosses a
-    slot.  u and -u have the same square, so only the units with leading
-    coefficient at most (q - 1)/2 are squared.
+    slot.  `reduce` takes int coefficients of any size: it packs those
+    below deg r, each mod q, and `add`s for each coefficient c of t^k,
+    k >= deg r, the packed c*t^k mod r of row k, a row grown from one
+    `Poly` remainder the first time degree k is met.  `square` squares a
+    coefficient tuple on ints, by `fpoly._mul_coeffs`, and reduces it.
+    Every entry is built from `coeff_tuples`, so the tables and
+    `polys_of_degree_at_most` share one order.  u and -u have the same
+    square, so only the units with leading coefficient at most (q - 1)/2
+    are squared.
     """
 
     def __init__(self, r):
-        q = r.q
-        self.q, self.r = q, r
-        self.width = q.bit_length() + 1
-        slots = range(r.degree)
-        self.high = sum(1 << (k * self.width + self.width - 1) for k in slots)
-        self.bias = sum(((1 << (self.width - 1)) - q) << (k * self.width)
-                        for k in slots)
-        self.units = [self.pack(u.coeffs)
-                      for u in polys_of_degree_at_most(q, r.degree - 1) if u]
-        self.squares = frozenset(
-            self.pack(((u * u) % r).coeffs)
-            for u in polys_of_degree_at_most(q, r.degree - 1)
-            if 0 < u.leading_coeff <= q // 2)
+        q, d = r.q, r.degree
+        self.q, self.r, self.d = q, r, d
+        self.width = w = q.bit_length() + 1
+        self.high = sum(1 << (k * w + w - 1) for k in range(d))
+        self.bias = sum(((1 << (w - 1)) - q) << (k * w) for k in range(d))
+        self.rows = []  # rows[k - d][c]: c*t^k mod r, packed
+        self.units = [self.pack(u) for u in coeff_tuples(q, d - 1) if u]
+        self.squares = frozenset(self.square(u) for u in coeff_tuples(q, d - 1)
+                                 if u and u[-1] <= q // 2)
         self.a2, self.masks = [], []
         self._masks = {}  # a^2 mod r, packed -> its mask, shared
-
-    def pack(self, coeffs):
-        return sum(c << (k * self.width) for k, c in enumerate(coeffs))
+        self._candidates = coeff_tuples(q)
 
     def add(self, x, y):
         """The packed sum of two packed residues mod r."""
         d = x + y
         return d - (((d + self.bias) & self.high) >> (self.width - 1)) * self.q
+
+    def reduce(self, cs, scale=1):
+        """scale * (sum of cs[k] t^k) mod r, packed, for any ints cs[k]."""
+        q, d, rows = self.q, self.d, self.rows
+        while len(rows) < len(cs) - d:
+            t = (Poly._raw(q, (0,) * (d + len(rows)) + (1,)) % self.r).coeffs
+            rows.append([self.reduce(t, c) for c in range(q)])
+        x, add = 0, self.add
+        for c in reversed(cs[:d]):
+            x = x << self.width | c * scale % q
+        for c, row in zip(cs[d:], rows):
+            c = c * scale % q
+            if c:
+                x = add(x, row[c])
+        return x
+
+    pack = reduce  # the coefficients of a residue pack as they are
+
+    def square(self, a):
+        """a^2 mod r, packed, for a coefficient tuple a."""
+        return self.reduce(_mul_coeffs(a, a, self.q))
 
     @cached_property
     def index(self):
@@ -187,14 +210,16 @@ class _Residues:
 
     def extend(self, count):
         """a^2 mod r for the candidates below `count`."""
-        for i in range(len(self.a2), count):
-            a = _candidate(self.q, i)
-            self.a2.append(self.pack(((a * a) % self.r).coeffs))
+        if count > len(self.a2):
+            more = itertools.islice(self._candidates, count - len(self.a2))
+            self.a2 += map(self.square, more)
 
     def extend_masks(self, count):
         """The masks of the candidates below `count`: bit j of a's mask is
         set iff a^2 + units[j] is a nonzero non-square mod r, bit
         len(units) + j iff it is 0 (0 is not in `squares`)."""
+        if count <= len(self.masks):
+            return
         self.extend(count)
         n = len(self.units)
         for x in self.a2[len(self.masks):count]:
@@ -225,22 +250,25 @@ def witness_search(D, l):
     then lex, deg a <= deg l // 2); None when that space is exhausted.
 
     It decides the rule of `_nonsplit_disc` for disc = a^2 - 4c*l from the
-    tables (P, S) of `_tables(D)`, reducing l mod both primes once:
+    tables (P, S) of `_tables(D)`.  Its set-up reduces -4l mod both primes
+    once, packed, and each c adds it once more, so -4c*l mod each prime
+    costs one packed sum:
     - at S's prime the symbol is bit j of a's mask, where S.units[j] is
       -4c*l mod that prime, a unit because l is coprime to it;
-    - at P's prime it looks up (a^2 mod p) - 4c*(l mod p) in the squares;
-    - at infinity, when 2 deg a < deg l, disc has the degree and leading
-      coefficient of -4c*l, so it is non-split for every such a or for
-      none; only when 2 deg a = deg l is the exact rule needed.  When it
-      fails, only the top level deg a = deg l / 2 is scanned;
+    - at P's prime it looks up (a^2 mod p) - 4c*l mod p in the squares;
+    - at infinity, when 2 deg a < deg l, disc has the degree deg l and
+      leading coefficient -4c*lc(l), so it is non-split for every such a
+      or for none, read from those two alone; only when 2 deg a = deg l is
+      the exact rule needed.  When it fails, only the top level
+      deg a = deg l / 2 is scanned;
     - a zero symbol, a^2 = 4c*l mod either prime, takes the exact rule,
       which reads the valuation, unless the symbol at P's prime is +1: it
       then splits, and the exact rule rejects a without reading S's.
     """
     q = D.q
     P, S = _tables(D)
-    lp, ls = l % P.r, l % S.r
-    if not lp or not ls:
+    step_p, step_s = P.reduce(l.coeffs, -4), S.reduce(l.coeffs, -4)
+    if not step_p or not step_s:
         raise InvalidInput("l must be coprime to the ramified primes")
     half = l.degree // 2
     count = q ** (half + 1)  # the candidates of degree <= half
@@ -250,12 +278,14 @@ def witness_search(D, l):
     top_start = q ** half if l.degree % 2 == 0 else count
     a2p, masks, squares_p, add = P.a2, S.masks, P.squares, P.add
     n_s = len(S.units)
+    tp = ts = 0
     for c in range(1, q):
-        cl4 = 4 * c * l
-        tp = P.pack(((-4 * c) * lp).coeffs)
-        bit = 1 << S.index[S.pack(((-4 * c) * ls).coeffs)]
+        tp, ts = add(tp, step_p), S.add(ts, step_s)  # -4c*l mod each prime
+        bit = 1 << S.index[ts]
         zero_bit = bit << n_s
-        for i in range(0 if nonsquare_at_infinity(-cl4) else top_start, count):
+        # infinity for 2 deg a < deg l, from deg l and -4c*lc(l)
+        inf_ok = l.degree % 2 or not ffield.is_square(-4 * c * l.leading_coeff, q)
+        for i in range(0 if inf_ok else top_start, count):
             mask = masks[i]
             if mask & bit:
                 d = add(a2p[i], tp)
@@ -264,13 +294,13 @@ def witness_search(D, l):
                 if d:
                     # both symbols are -1
                     a = _candidate(q, i)
-                    if i < top_start or nonsquare_at_infinity(a * a - cl4):
+                    if i < top_start or nonsquare_at_infinity(a * a - 4 * c * l):
                         return LocalWitness(l=l, a=a, c=c)
                     continue
             elif not mask & zero_bit or add(a2p[i], tp) in squares_p:
                 continue
             a = _candidate(q, i)
-            if _nonsplit_disc(D, a * a - cl4):
+            if _nonsplit_disc(D, a * a - 4 * c * l):
                 return LocalWitness(l=l, a=a, c=c)
     return None
 
@@ -318,9 +348,8 @@ def fast_m_bound(D):
             if pending & bits:
                 d = add(a2p[i], r)
                 if d and d not in squares_p:
-                    if i >= above:
-                        worst = _level(q, i)
-                        above = q ** (worst + 1)
+                    while i >= above:
+                        worst, above = worst + 1, above * q
                     pending &= ~bits
             i += 1
     return worst

@@ -8,11 +8,16 @@ n = 1, since a certificate's verdict depends on (q, D, y) only.
 """
 
 from .certificate import admissible_eps_set, hasse_certificate
+from .errors import InvalidInput
 from .fpoly import (Poly, format_poly, monic_irreducibles,
                     require_monic_irreducible)
 from .localpoints import ramified_mu
 from .splitting import QuaternionData, check_pair_count, mu_y_obstruction
 from .weil import check_norm_degree, p_excluded
+
+# most worker processes `search` starts: a pool forks all its workers at
+# its first job, so the cap is a constant, not read from the machine
+MAX_WORKERS = 16
 
 
 def candidates(y, max_deg1, max_deg2):
@@ -44,7 +49,17 @@ def candidates(y, max_deg1, max_deg2):
 def passes_cheap_filters(D, y):
     """Hypotheses that hold for every n: the mu-obstruction, a mu-witness at
     both ramified primes, and some ramified prime outside P(y).  Symbols
-    come first; the excluded-prime test needs the traces of dset(y)."""
+    come first; the excluded-prime test needs the traces of dset(y).
+
+    No pair passes with an even deg y.  deg(y * ram1 * ram2) is odd, so
+    say deg r1 is odd and deg r2 even, {r1, r2} = {ram1, ram2}, and write
+    (a/r) for `residue_symbol`.  A constant is a square mod r2, so a
+    mu-witness at r1 needs (r1/r2) = -1.  At r2, mu*r2 has even degree, so
+    infinity is inert only for a non-square mu, and (mu/r1) = -1 as deg r1
+    is odd: a mu-witness at r2 needs (r2/r1) = +1.  Reciprocity gives
+    (r1/r2) = (r2/r1) for monic primes when deg r1 * deg r2 is even, so
+    exactly one of the two mu-witnesses exists.  A VALID certificate,
+    which needs both, therefore has odd deg y."""
     return (mu_y_obstruction(D, y)
             and ramified_mu(D, "ram1") is not None
             and ramified_mu(D, "ram2") is not None
@@ -67,12 +82,15 @@ def search(y, max_deg1, max_deg2, workers=1):
     (ram1 text, ram2 text, certificate dict) in candidate order, VALID and
     INVALID alike, each certified as it is read, so a caller holds only
     the certificates it keeps.  `workers` > 1 certifies in that many
-    processes; the results are the same.
+    processes, never more than there are pairs to certify; the results are
+    the same.  More than MAX_WORKERS is refused before any other work.
 
     The checks, the candidates and the cheap filters run at call time.  The
     cheap filters may reject every pair without computing dset(y), so y is
     checked here: its norm bound, then the one irreducibility test of y.
     """
+    if workers > MAX_WORKERS:
+        raise InvalidInput("at most %d workers, got %d" % (MAX_WORKERS, workers))
     check_norm_degree(y)
     y = require_monic_irreducible(y, "y")
     pairs = candidates(y, max_deg1, max_deg2)
@@ -82,11 +100,11 @@ def search(y, max_deg1, max_deg2, workers=1):
 
 
 def _certify_all(jobs, workers):
-    """Yield `_certify_pair` of each job in order, from a pool of `workers`
-    processes when there are that many and more than one job."""
+    """Yield `_certify_pair` of each job in order, from a pool of
+    min(workers, jobs) processes when that is more than one."""
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             yield from pool.map(_certify_pair, jobs)
     else:
         for job in jobs:

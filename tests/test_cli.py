@@ -379,6 +379,51 @@ def test_search_threads_agrees_with_serial(capsys):
     assert serial == threaded
 
 
+def recording_pool(monkeypatch):
+    """Replace ProcessPoolExecutor by an in-process stand-in; returns the
+    list of the max_workers each pool was asked for.  No process starts."""
+    import concurrent.futures
+    asked = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    return asked
+
+
+def test_threads_above_the_cap_exit_2_before_any_work(capsys, monkeypatch):
+    # a pool forks all its workers at the first job, so --threads is
+    # bounded; the bound is read before the candidates are sieved
+    asked = recording_pool(monkeypatch)
+    monkeypatch.setattr(search, "candidates", lambda *args: pytest.fail("sieved"))
+    code, out, err = run(["search", "--field-order", "3", "--max-deg1", "3",
+                          "--max-deg2", "1",
+                          "--threads", str(search.MAX_WORKERS + 1)], capsys)
+    assert code == 2 and out == "" and "at most 16 workers" in err
+    assert asked == []
+
+
+def test_threads_at_the_cap_asks_for_one_worker_per_job(capsys, monkeypatch):
+    # q = 3 (2, 2) has 4 pairs past the cheap filters: 16 threads ask for 4
+    base = ["search", "--field-order", "3", "--max-deg1", "2", "--max-deg2", "2"]
+    _, serial, _ = run(base, capsys)
+    asked = recording_pool(monkeypatch)
+    code, threaded, _ = run(base + ["--threads", str(search.MAX_WORKERS)], capsys)
+    assert code == 0 and threaded == serial
+    assert search.MAX_WORKERS == 16 and asked == [4]
+
+
 def test_threads_is_a_search_only_option(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["wset", "--field-order", "3", "--y", "t", "--threads", "2"])

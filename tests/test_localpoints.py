@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -235,10 +236,34 @@ def test_local_all_rejects_nonsplitting_field():
 
 
 def test_candidates_follow_the_enumeration_order():
-    # witness_search decodes a candidate from its index in the table
+    # the tables square the candidates from coeff_tuples, and witness_search
+    # decodes a candidate from its index in them
     for q in (3, 5, 7):
-        assert ([localpoints._candidate(q, i) for i in range(q ** 4)]
-                == list(polys_of_degree_at_most(q, 3)))
+        order = list(fpoly.coeff_tuples(q, 3))
+        assert [localpoints._candidate(q, i).coeffs for i in range(q ** 4)] == order
+        assert [a.coeffs for a in polys_of_degree_at_most(q, 3)] == order
+        assert list(itertools.islice(fpoly.coeff_tuples(q), q ** 4)) == order
+
+
+def test_packed_reduction_matches_poly_remainder():
+    # for every prime r of degree <= 3: random int coefficient lists up to
+    # degree 20, twice the lambda_cutoff of two such primes, reduced and
+    # scaled, and random squares, against Poly's remainder packed slot by
+    # slot, coefficient k in bits k * width and up
+    rng = random.Random(7)
+    for q in (3, 5, 7, 11):
+        for r in (r for d in (1, 2, 3) for r in monic_irreducibles(q, d)):
+            table = localpoints._Residues(r)
+
+            def packed(f):
+                return sum(c << (k * table.width) for k, c in enumerate((f % r).coeffs))
+
+            for _ in range(4):
+                cs = [rng.randrange(-q * q, q * q) for _ in range(rng.randrange(22))]
+                scale = rng.randrange(-q, q)
+                assert table.reduce(cs, scale) == packed(scale * Poly(q, cs)), (r, cs)
+                a = Poly(q, [rng.randrange(q) for _ in range(rng.randrange(11))])
+                assert table.square(a.coeffs) == packed(a * a)
 
 
 def sieve_degree(q):

@@ -3,7 +3,7 @@ import json
 
 from dscurves import cli, search
 from dscurves.certificate import canonical_json, verify_certificate
-from dscurves.fpoly import parse_poly
+from dscurves.fpoly import monic_irreducibles, parse_poly
 from dscurves.localpoints import local_all, mu_witness_ok, ramified_mu
 from dscurves.splitting import QuadraticField, QuaternionData
 
@@ -60,6 +60,22 @@ def test_ramified_mu_is_the_local_rule():
             # the rule depends on mu only through its square class
             assert (mu is not None) == any(mu_witness_ok(D, which, m)
                                            for m in range(1, q))
+
+
+def test_odd_degree_sum_has_one_mu_witness_only():
+    # the lemma in passes_cheap_filters' docstring: when deg ram1 + deg ram2
+    # is odd, reciprocity lets exactly one ramified prime have a mu-witness,
+    # so a pair with an even-degree y never passes the cheap filters
+    checked = 0
+    for q, total in [(3, 3), (3, 5), (5, 3), (7, 3)]:
+        for d1 in range(1, total):
+            for p in monic_irreducibles(q, d1):
+                for s in monic_irreducibles(q, total - d1):
+                    D = QuaternionData(ram1=p, ram2=s)
+                    mus = [ramified_mu(D, which) for which in ("ram1", "ram2")]
+                    assert mus.count(None) == 1, D
+                    checked += 1
+    assert checked == 174 + 100 + 294
 
 
 def test_search_q5_output_is_pinned(capsys):
