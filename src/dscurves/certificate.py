@@ -139,7 +139,7 @@ def hasse_certificate(D, y, n_poly, eps):
     (n_poly, eps), an infinite family of fields K:
     - y, ram1 and ram2 divide the square-free radical, so they ramify in
       K: `field_splits` and `y_ramified` hold, and each ramified prime
-      needs the mu of `ramified_mu(D, which)`;
+      needs the mu of `ramified_mu(D, r)`;
     - deg(y * ram1 * ram2) is odd, so infinity ramifies for even
       deg n_poly and, eps being a non-square, is inert for odd deg n_poly:
       it never splits, and `infinity_ok` holds;

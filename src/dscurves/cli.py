@@ -143,19 +143,21 @@ def cmd_pcheck(args):
     q = args.field_order
     y = _parse(args.y, q, "y")
     p = _parse(args.p, q, "p")
-    # the trace determines the norm: each distinct one is built once
-    first = {}
-    rows = [{"weil": str(entry.source),
-             "norm_degree": first.setdefault(entry.trace, entry).value.degree,
-             "status": status} for entry, status in norm_statuses(p, y)]
-    excluded = all(row["status"] != "divides" for row in rows)
+    statuses = list(norm_statuses(p, y))
+    excluded = all(status != "divides" for _, status in statuses)
     if args.json:
+        # only the JSON form prints norm degrees; the trace determines the
+        # norm, so each distinct one is built once
+        first = {}
+        rows = [{"weil": str(entry.source),
+                 "norm_degree": first.setdefault(entry.trace, entry).value.degree,
+                 "status": status} for entry, status in statuses]
         write_canonical_json({"field_order": q, "y": format_poly(y),
                               "p": format_poly(p), "excluded": excluded,
                               "entries": rows}, sys.stdout)
     else:
-        for row in rows:
-            print("%-40s %s" % (row["weil"], row["status"]))
+        for entry, status in statuses:
+            print("%-40s %s" % (entry.source, status))
         print("p = %s is %s the excluded-prime set of y = %s"
               % (format_poly(p), "outside" if excluded else "inside", format_poly(y)))
     return EXIT_OK if excluded else EXIT_FALSE
@@ -239,8 +241,12 @@ def cmd_certify(args):
     n_poly = _parse(args.n_poly, q, "n-poly")
     cert = hasse_certificate(D, y, n_poly, args.eps)
     if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            write_canonical_json(cert.data, fh)
+        try:
+            with open(args.out, "w", newline="\n") as fh:
+                write_canonical_json(cert.data, fh)
+        except OSError as exc:
+            print("cannot write certificate: %s" % exc, file=sys.stderr)
+            return EXIT_INVALID
         print("certificate written to %s: %s" % (args.out, cert.verdict))
     else:
         write_canonical_json(cert.data, sys.stdout)

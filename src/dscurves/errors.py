@@ -19,10 +19,8 @@ class FieldMismatch(ValueError):
 class ParseError(ValueError):
     """Polynomial text could not be parsed; carries the offending position."""
 
-    def __init__(self, message, position=None):
-        if position is not None:
-            message = "%s (at position %d)" % (message, position)
-        super().__init__(message)
+    def __init__(self, message, position):
+        super().__init__("%s (at position %d)" % (message, position))
         self.position = position
 
 

@@ -14,8 +14,7 @@ _MAX_FIELD_ORDER = 2 ** 40
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
+    """Trial division, for the n >= 3 that `validate_field_order` admits."""
     if n % 2 == 0:
         return n == 2
     d = 3
@@ -51,15 +50,8 @@ def is_square(a, q):
     return pow(a, (q - 1) // 2, q) == 1
 
 
-def least_nonsquare(q):
-    """The smallest non-square unit of F_q."""
-    validate_field_order(q)
-    for a in range(2, q):
-        if not is_square(a, q):
-            return a
-    raise AssertionError("no non-square found in F_%d" % q)  # unreachable for q >= 3
-
-
 def square_class_reps(q):
-    """Representatives [1, nu] of F_q^x modulo squares, nu the least non-square."""
-    return [1, least_nonsquare(q)]
+    """Representatives [1, nu] of F_q^x modulo squares, nu the least
+    non-square: half the units are non-squares, so one lies below q."""
+    validate_field_order(q)
+    return [1, next(a for a in range(2, q) if not is_square(a, q))]

@@ -195,8 +195,7 @@ class Poly:
         rs = [c % q for c in rem[:dg]]
         while rs and rs[-1] == 0:
             rs.pop()
-        while quot and quot[-1] == 0:
-            quot.pop()
+        # quot's top coefficient is lc(self)/lc(other), never 0
         return Poly._raw(q, tuple(quot)), Poly._raw(q, tuple(rs))
 
     def __floordiv__(self, other):
@@ -406,17 +405,13 @@ class Factorization:
 
 
 def _squarefree_parts(f):
-    """Yield (monic squarefree factor, multiplicity) pairs; char-p aware."""
+    """Yield (monic squarefree factor, multiplicity) pairs for a monic f
+    of degree >= 1; char-p aware.  Once w is used up, c is g(t)^q in
+    characteristic q, g read off every q-th coefficient (each coefficient
+    is its own q-th root); when f' = 0, c is f itself and only that step
+    runs."""
     q = f.q
-    d = f.derivative()
-    if d.is_zero:
-        if f.degree == 0:
-            return
-        # f = g(t)^q in characteristic q; coefficients are their own q-th roots
-        for g, m in _squarefree_parts(Poly(q, f.coeffs[::q])):
-            yield g, m * q
-        return
-    c = poly_gcd(f, d)
+    c = poly_gcd(f, f.derivative())
     w = f // c
     i = 1
     while w.degree > 0:
@@ -581,11 +576,11 @@ def parse_poly(text, q):
     if m:  # optional leading sign
         sign = -1 if m.group(1) == "-" else 1
         pos = m.end()
+    # s is stripped and _SIGN takes the blanks after a sign, so a term
+    # starts at pos
     while True:
-        while pos < len(s) and s[pos].isspace():
-            pos += 1
         m = _TERM.match(s, pos)
-        if not m or m.start() != pos:
+        if not m:
             raise ParseError("expected a term", pos)
         digits = m.group(3) or m.group(1)
         c = 1 if digits is None else _bounded_int(digits, q - 1, "coefficient", pos)
@@ -607,8 +602,6 @@ def parse_poly(text, q):
             raise ParseError("expected '+' or '-'", pos)
         sign = -1 if m.group(1) == "-" else 1
         pos = m.end()
-    if not coeffs:
-        return Poly.zero(q)
     top = max(coeffs)
     return Poly(q, [coeffs.get(i, 0) for i in range(top + 1)])
 

@@ -58,36 +58,33 @@ def witness_ok(D, w):
     return _nonsplit_disc(D, w.a * w.a - 4 * w.c * w.l)
 
 
-def mu_witness_ok(D, which, mu):
+def mu_witness_ok(D, r, mu):
     """True iff mu is a reduced unit, 0 < mu < q, with neither the other
-    ramified prime nor infinity split in F(sqrt(mu*r)), r the prime named
-    by `which`.  r divides mu*r exactly once, so r ramifies in
-    F(sqrt(mu*r)) and `_nonsplit_disc` reads only the other prime and
-    infinity."""
-    if which not in ("ram1", "ram2"):
-        raise InvalidInput("which must be 'ram1' or 'ram2'")
-    return 0 < mu < D.q and _nonsplit_disc(D, mu * getattr(D, which))
+    ramified prime nor infinity split in F(sqrt(mu*r)), r a ramified prime
+    of D.  r divides mu*r exactly once, so r ramifies in F(sqrt(mu*r)) and
+    `_nonsplit_disc` reads only the other prime and infinity."""
+    return 0 < mu < D.q and _nonsplit_disc(D, mu * r)
 
 
-def ramified_mu(D, which):
+def ramified_mu(D, r):
     """First square class mu passing `mu_witness_ok`, or None."""
     for mu in ffield.square_class_reps(D.q):
-        if mu_witness_ok(D, which, mu):
+        if mu_witness_ok(D, r, mu):
             return mu
     return None
 
 
-def _local_ramified_prime(D, K, which, recorded):
-    """(ok, mu-witness or None) above the ramified prime r named by `which`:
-    K splits D, so r is not split in K; it is inert, needing nothing, when
-    it does not divide K's radical, and ramified otherwise."""
-    if not (K.radical % getattr(D, which)).is_zero:
+def _local_ramified_prime(D, K, r, recorded):
+    """(ok, mu-witness or None) above the ramified prime r: K splits D, so
+    r is not split in K; it is inert, needing nothing, when it does not
+    divide K's radical, and ramified otherwise."""
+    if not (K.radical % r).is_zero:
         return True, None
     if recorded is None:
-        mu = ramified_mu(D, which)
+        mu = ramified_mu(D, r)
     else:
-        mu = getattr(recorded, which + "_mu")
-        if mu is not None and not mu_witness_ok(D, which, mu):
+        mu = recorded.ram1_mu if r == D.ram1 else recorded.ram2_mu
+        if mu is not None and not mu_witness_ok(D, r, mu):
             mu = None
     return mu is not None, mu
 
@@ -170,7 +167,7 @@ class _Residues:
         self.high = sum(1 << (k * w + w - 1) for k in range(d))
         self.bias = sum(((1 << (w - 1)) - q) << (k * w) for k in range(d))
         self.rows = []  # rows[k - d][c]: c*t^k mod r, packed
-        self.units = [self.pack(u) for u in coeff_tuples(q, d - 1) if u]
+        self.units = [self.reduce(u) for u in coeff_tuples(q, d - 1) if u]
         self.squares = frozenset(self.square(u) for u in coeff_tuples(q, d - 1)
                                  if u and u[-1] <= q // 2)
         self.a2, self.masks = [], []
@@ -196,8 +193,6 @@ class _Residues:
             if c:
                 x = add(x, row[c])
         return x
-
-    pack = reduce  # the coefficients of a residue pack as they are
 
     def square(self, a):
         """a^2 mod r, packed, for a coefficient tuple a."""
@@ -413,8 +408,8 @@ def local_all(D, K, recorded=None):
     if not splits_quaternion(D, K.radicand):
         raise InvalidInput("K does not split the quaternion algebra")
     infinity_ok = nonsquare_at_infinity(K.radicand)
-    ram1_ok, ram1_mu = _local_ramified_prime(D, K, "ram1", recorded)
-    ram2_ok, ram2_mu = _local_ramified_prime(D, K, "ram2", recorded)
+    ram1_ok, ram1_mu = _local_ramified_prime(D, K, D.ram1, recorded)
+    ram2_ok, ram2_mu = _local_ramified_prime(D, K, D.ram2, recorded)
     m = fast_m_bound(D)
     wit_cutoff = witness_cutoff(D, m)
     if recorded is not None:

@@ -61,8 +61,8 @@ def passes_cheap_filters(D, y):
     exactly one of the two mu-witnesses exists.  A VALID certificate,
     which needs both, therefore has odd deg y."""
     return (mu_y_obstruction(D, y)
-            and ramified_mu(D, "ram1") is not None
-            and ramified_mu(D, "ram2") is not None
+            and ramified_mu(D, D.ram1) is not None
+            and ramified_mu(D, D.ram2) is not None
             and (p_excluded(D.ram1, y) or p_excluded(D.ram2, y)))
 
 

@@ -30,6 +30,12 @@ def test_wset_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert len(data["weil"]) == 6
+    # every discriminant has degree 1 at y = t; at y = t^2+1 some have an
+    # even degree and a non-square leading coefficient
+    code, out, _ = run(["wset", "--field-order", "3", "--y", "t^2+1", "--json"], capsys)
+    assert code == 0
+    assert {row["classification"] for row in json.loads(out)["weil"]} == {
+        "odd discriminant degree", "non-square leading coefficient"}
 
 
 def test_pcheck_exit_codes(capsys):
@@ -113,6 +119,17 @@ SUBCOMMAND_PINS = [
     ("pcheck", ["--field-order", "7", "--y", "t", "--p", "t^3+2"], 0,
      "725fb9c796f004c1f1bcb2d0e646049ac5c7abec05a4d77340b03b4e5027f153",
      "b62368657f802a15359267289ed308c93714bb696591df524d9f3e7a78cd23d2"),
+    # a battery that fails at one place only: l = t has no witness, and
+    # the text form prints it as "l=t NO WITNESS"
+    ("local", ["--field-order", "3", "--ram1", "t^3+2t^2+1", "--ram2", "t+2",
+               "--radicand", "t^5+t^4+t^3+t^2+2t"], 1,
+     "65eb9d8a2aa17d8761a5f23f807392efb2da3eb812c674f0992fefc04a017e92",
+     "5296298e6c416809fa597e3286e16933f2e0fab22e039827120d560900742416"),
+    # neither ramified prime is excluded, so "excluded_prime" is null
+    ("criterion", ["--field-order", "3", "--ram1", "t+1", "--ram2", "t+2",
+                   "--y", "t", "--radicand", "t^3+2t"], 1,
+     "3435e71a19daf7675b089a82bd1091f8b3cb45f19a8d01499fb17968de1236f2",
+     "9506aac42ee5699c455342a444e5ade562b200763d8b582692768f2853db103a"),
 ]
 
 
@@ -131,6 +148,32 @@ def test_certify_writes_the_reference_bytes(capsys, tmp_path):
     assert path.read_bytes() == reference
     code, out, _ = run(argv, capsys)
     assert code == 0 and out.encode() == reference
+
+
+def test_certify_out_to_a_path_it_cannot_write(capsys, tmp_path):
+    # a missing directory and a directory: exit 2 with one line on stderr,
+    # as verify reports a file it cannot read, and nothing on stdout
+    for out in (tmp_path / "missing" / "cert.json", tmp_path):
+        code, stdout, err = run(["certify"] + CRITERION_ARGS + ["--out", str(out)],
+                                capsys)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("cannot write certificate: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_pcheck_text_builds_no_norm(capsys, monkeypatch):
+    # the text form prints statuses only; the JSON form reads each norm's
+    # degree, so the patched value shows that only it builds norms
+    def no_norm(entry):
+        raise AssertionError("a norm was built")
+
+    monkeypatch.setattr(weil.NormEntry, "value", property(no_norm))
+    argv = ["pcheck", "--field-order", "7", "--y", "t", "--p", "t^3+2"]
+    code, out, _ = run(argv, capsys)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+        0, "725fb9c796f004c1f1bcb2d0e646049ac5c7abec05a4d77340b03b4e5027f153")
+    with pytest.raises(AssertionError, match="a norm was built"):
+        cli.main(argv + ["--json"])
 
 
 def test_certify_verify_cycle(tmp_path, capsys):
@@ -164,6 +207,19 @@ def test_certify_verify_cycle(tmp_path, capsys):
     path.write_text(json.dumps(data))
     code, _, err = run(["verify", str(path)], capsys)
     assert code == 3
+    # a JSON array is no certificate, and d = 3 is not supported
+    path.write_text("[]")
+    code, _, err = run(["verify", str(path)], capsys)
+    assert code == 3 and "must be a JSON object" in err
+    path.write_text(json.dumps(dict(data, d=3)))
+    code, _, err = run(["verify", str(path)], capsys)
+    assert code == 3 and "only d = 2" in err
+    # a null local section records no mu and no witness: the rebuild
+    # differs in that field, and verify says so
+    reference = json.loads((REFERENCE / "cert0.json").read_text())
+    path.write_text(json.dumps(dict(reference, local=None)))
+    code, out, _ = run(["verify", str(path)], capsys)
+    assert code == 1 and "FAIL local: recorded null, expected {" in out
 
 
 def test_verify_refuses_a_long_n_poly_from_its_degree(capsys, tmp_path):
@@ -215,6 +271,16 @@ def test_invalid_inputs_exit_2(capsys):
     assert code == 2
     code, _, err = run(["wset", "--field-order", "3", "--y", "5t+("], capsys)
     assert code == 2
+    # an empty text, an unterminated list and a bad list coefficient
+    for y, reason in (("", "empty polynomial text"),
+                      ("[1,2", "unterminated coefficient list"),
+                      ("[1,x]", "bad coefficient")):
+        code, _, err = run(["wset", "--field-order", "3", "--y", y], capsys)
+        assert code == 2 and reason in err
+    code, _, err = run(["criterion", "--field-order", "3", "--ram1", "t+1",
+                        "--ram2", "t+2", "--y", "t+1", "--radicand", "t^3+2t"],
+                       capsys)
+    assert code == 2 and "y must differ from the ramified primes" in err
     for ram1 in ("t^" + "9" * 5000, "t^1000000000"):
         code, _, err = run(["certify", "--field-order", "3", "--ram1", ram1,
                             "--ram2", "t+1", "--y", "t"], capsys)

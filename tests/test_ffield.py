@@ -38,14 +38,9 @@ def test_is_square_rejects_zero():
         ffield.is_square(0, 5)
 
 
-def test_least_nonsquare():
-    assert ffield.least_nonsquare(3) == 2
-    assert ffield.least_nonsquare(5) == 2
-    assert ffield.least_nonsquare(7) == 3
-
-
 def test_square_class_reps():
-    for q in (3, 5, 7):
-        one, nu = ffield.square_class_reps(q)
-        assert one == 1
+    # nu is the least non-square
+    for q, nu in ((3, 2), (5, 2), (7, 3), (11, 2), (17, 3)):
+        assert ffield.square_class_reps(q) == [1, nu]
+        assert all(ffield.is_square(a, q) for a in range(1, nu))
         assert not ffield.is_square(nu, q)

@@ -7,13 +7,15 @@ import time
 import pytest
 import sympy
 
-from dscurves import fpoly, localpoints
-from dscurves.errors import InvalidInput, ParseError
+from dscurves import fpoly, localpoints, weil
+from dscurves.errors import FieldMismatch, InvalidInput, ParseError
 from dscurves.fpoly import (Poly, Prime, factor, format_poly, is_irreducible,
                             is_squarefree, monic_irreducibles, parse_poly,
                             poly_gcd, polys_of_degree_at_most, powmod,
                             require_monic_irreducible, residue_symbol,
                             valuation)
+from dscurves.splitting import (QuadraticField, QuaternionData,
+                                nonexistence_criterion)
 from oracles import gauss_irreducible_count
 
 X = sympy.Symbol("x")
@@ -377,6 +379,41 @@ def test_factor_is_deterministic_given_seed():
     assert factor(f, seed=42) == factor(f, seed=42)
 
 
+def test_library_refusals():
+    # refusals that no CLI input reaches: the CLI only builds Polys over
+    # one field, with exponents, moduli and degrees of its own choosing
+    q = 3
+    f = parse_poly("t^2+1", q)
+    with pytest.raises(AttributeError, match="immutable"):
+        f.q = 5
+    with pytest.raises(TypeError, match="expected Poly"):
+        f + 1
+    with pytest.raises(FieldMismatch):
+        f + Poly.one(5)
+    assert (Poly.one(q) == 1) is False
+    assert repr(f) == "Poly(q=3, t^2+1)"
+    assert repr(monic_irreducibles(q, 2)[0]) == "Prime(q=3, t^2+1)"
+    with pytest.raises(InvalidInput, match="non-negative integer exponent"):
+        f ** -1
+    with pytest.raises(InvalidInput, match="powmod modulus"):
+        powmod(f, 2, Poly.constant(q, 2))
+    with pytest.raises(InvalidInput, match="constants"):
+        is_irreducible(Poly.constant(q, 2))
+    with pytest.raises(InvalidInput, match="degree must be >= 1"):
+        monic_irreducibles(q, 0)
+    with pytest.raises(InvalidInput, match="zero polynomial"):
+        factor(Poly.zero(q))
+    with pytest.raises(InvalidInput, match="undefined at 0"):
+        is_squarefree(Poly.zero(q))
+    assert parse_poly("[]", q) == Poly.zero(q)
+    with pytest.raises(InvalidInput, match="d must be >= 1"):
+        weil.lq(q, 0)
+    D = QuaternionData(ram1=parse_poly("t^3+t^2+t+2", q), ram2=parse_poly("t+1", q))
+    K = QuadraticField(eps=1, radical=parse_poly("t^5+t^4+t^3+t^2+2t", q))
+    with pytest.raises(InvalidInput, match="mismatched field orders"):
+        nonexistence_criterion(D, parse_poly("t", 5), K)
+
+
 # ---------------------------------------------------------------------------
 # residue symbol
 
@@ -393,22 +430,6 @@ def test_residue_symbol_exhaustive_square_oracle():
                     r = a % p
                     want = 0 if r.is_zero else (1 if r.coeffs in squares else -1)
                     assert residue_symbol(a, p) == want
-
-
-def test_square_residues_matches_squaring_every_residue():
-    # the primes of the six table triples and the degree-9 prime at q = 3
-    # that sits near the pair limit
-    primes = [(3, "t^3+t^2+t+2"), (3, "t+1"), (3, "t^4+t^3+2t+1"),
-              (3, "t^2+1"), (3, "t^5+2t+1"), (3, "t+2"), (5, "t^3+t^2+4t+1"),
-              (5, "t+2"), (5, "t^4+2"), (5, "t^2+t+1"), (7, "t^3+2"),
-              (7, "t+3"), (3, "t^9+t^7+2t^6+1")]
-    for q, text in primes:
-        p = parse_poly(text, q)
-        table = localpoints._Residues(p)
-        want = {table.pack(((a * a) % p).coeffs)
-                for a in polys_of_degree_at_most(q, p.degree - 1) if a}
-        assert table.squares == want, (q, text)
-        assert len(want) == (q ** p.degree - 1) // 2
 
 
 def test_residue_symbol_matches_euler_criterion():

@@ -8,7 +8,7 @@ from dscurves.errors import InvalidInput
 from dscurves.fpoly import (Poly, monic_irreducibles, parse_poly,
                             polys_of_degree_at_most, residue_symbol)
 from dscurves.localpoints import (LocalWitness, fast_m_bound, lambda_cutoff,
-                                  lambda_set, local_all, mu_witness_ok,
+                                  lambda_set, local_all,
                                   witness_cutoff, witness_ok, witness_search)
 from dscurves.splitting import QuadraticField, QuaternionData
 
@@ -83,13 +83,6 @@ def test_local_ramified_prime_table_case():
     assert report.ram1_ok and report.ram2_ok
     # both primes ramify in K, so both need a mu-witness
     assert report.ram1_mu is not None and report.ram2_mu is not None
-
-
-def test_local_ramified_prime_bad_which():
-    q = 3
-    D = table_D(q, "t^3+t^2+t+2", "t+1")
-    with pytest.raises(InvalidInput):
-        mu_witness_ok(D, "ram3", 1)
 
 
 def test_lambda_cutoff_and_set():
@@ -264,6 +257,22 @@ def test_packed_reduction_matches_poly_remainder():
                 assert table.reduce(cs, scale) == packed(scale * Poly(q, cs)), (r, cs)
                 a = Poly(q, [rng.randrange(q) for _ in range(rng.randrange(11))])
                 assert table.square(a.coeffs) == packed(a * a)
+
+
+def test_table_squares_are_the_squares_of_every_unit():
+    # the primes of the six table triples and the degree-9 prime at q = 3
+    # that sits near the pair limit
+    primes = [(3, "t^3+t^2+t+2"), (3, "t+1"), (3, "t^4+t^3+2t+1"),
+              (3, "t^2+1"), (3, "t^5+2t+1"), (3, "t+2"), (5, "t^3+t^2+4t+1"),
+              (5, "t+2"), (5, "t^4+2"), (5, "t^2+t+1"), (7, "t^3+2"),
+              (7, "t+3"), (3, "t^9+t^7+2t^6+1")]
+    for q, text in primes:
+        p = parse_poly(text, q)
+        table = localpoints._Residues(p)
+        want = {table.reduce(((a * a) % p).coeffs)
+                for a in polys_of_degree_at_most(q, p.degree - 1) if a}
+        assert table.squares == want, (q, text)
+        assert len(want) == (q ** p.degree - 1) // 2
 
 
 def sieve_degree(q):

@@ -53,12 +53,12 @@ def test_ramified_mu_is_the_local_rule():
     for p, s in pairs:
         D = QuaternionData(ram1=p, ram2=s)
         report = local_all(D, QuadraticField(eps=1, radical=y * p * s))
-        for which in ("ram1", "ram2"):
-            mu = ramified_mu(D, which)
-            assert (getattr(report, which + "_ok"),
-                    getattr(report, which + "_mu")) == (mu is not None, mu)
+        for r, ok, got in ((p, report.ram1_ok, report.ram1_mu),
+                           (s, report.ram2_ok, report.ram2_mu)):
+            mu = ramified_mu(D, r)
+            assert (ok, got) == (mu is not None, mu)
             # the rule depends on mu only through its square class
-            assert (mu is not None) == any(mu_witness_ok(D, which, m)
+            assert (mu is not None) == any(mu_witness_ok(D, r, m)
                                            for m in range(1, q))
 
 
@@ -72,7 +72,7 @@ def test_odd_degree_sum_has_one_mu_witness_only():
             for p in monic_irreducibles(q, d1):
                 for s in monic_irreducibles(q, total - d1):
                     D = QuaternionData(ram1=p, ram2=s)
-                    mus = [ramified_mu(D, which) for which in ("ram1", "ram2")]
+                    mus = [ramified_mu(D, r) for r in (p, s)]
                     assert mus.count(None) == 1, D
                     checked += 1
     assert checked == 174 + 100 + 294
