@@ -38,9 +38,16 @@ def test_is_square_rejects_zero():
         ffield.is_square(0, 5)
 
 
-def test_square_class_reps():
-    # nu is the least non-square
+def test_least_nonsquare():
+    # the second representative is the least non-square unit
     for q, nu in ((3, 2), (5, 2), (7, 3), (11, 2), (17, 3)):
-        assert ffield.square_class_reps(q) == [1, nu]
+        assert ffield.square_class_reps(q)[1] == nu
         assert all(ffield.is_square(a, q) for a in range(1, nu))
+        assert not ffield.is_square(nu, q)
+
+
+def test_square_class_reps():
+    for q in (3, 5, 7, 11, 17):
+        one, nu = ffield.square_class_reps(q)
+        assert one == 1
         assert not ffield.is_square(nu, q)
