@@ -146,11 +146,9 @@ def cmd_pcheck(args):
     statuses = list(norm_statuses(p, y))
     excluded = all(status != "divides" for _, status in statuses)
     if args.json:
-        # only the JSON form prints norm degrees; the trace determines the
-        # norm, so each distinct one is built once
-        first = {}
-        rows = [{"weil": str(entry.source),
-                 "norm_degree": first.setdefault(entry.trace, entry).value.degree,
+        # only the JSON form prints norm degrees, and builds the norms, one
+        # per orbit
+        rows = [{"weil": str(entry.source), "norm_degree": entry.value.degree,
                  "status": status} for entry, status in statuses]
         write_canonical_json({"field_order": q, "y": format_poly(y),
                               "p": format_poly(p), "excluded": excluded,

@@ -8,14 +8,16 @@ Places of large degree need no witness (degree-bound lemma), and a uniform
 bound m, when one exists, discharges every place of degree >= 2m + 1 so
 explicit searches stop at degree 2m.
 
-The search for m and the witness search read one table per ramified
-prime, with its squares, its units and a^2 mod it for the candidates a,
-kept for the two primes of the current D.  The tables and each place's
-set-up work on residues packed into ints, squared and reduced on plain
-ints, with no `Poly` operation.  `Poly` arithmetic is left to the exact
-rule of `witness_ok`, which `verify` applies to every recorded witness
-and the search where a symbol is zero or infinity needs the whole
-discriminant.
+The search for m, the witness search and the witness check read one
+table per ramified prime, with its squares, its units and a^2 mod it for
+the candidates a, kept for the two primes of the current D.  The tables
+and each place's set-up work on residues packed into ints, squared and
+reduced on plain ints, with no `Poly` operation.  A witness's symbols at
+the two primes come from the tables, and `Poly` arithmetic is left to what
+they cannot decide: infinity, which `witness_ok` reads from the whole
+discriminant and the search only where 2 deg a = deg l, and the valuation
+where a symbol is zero.  The mu-witness rule, which runs before any table
+exists, stays exact (`_nonsplit_disc`).
 """
 
 import itertools
@@ -25,7 +27,7 @@ from functools import cached_property, lru_cache
 from . import ffield
 from .errors import InvalidInput
 from .fpoly import (Poly, _mul_coeffs, coeff_tuples, format_poly,
-                    monic_irreducibles)
+                    monic_irreducibles, valuation)
 from .splitting import splits_quaternion
 from .weil import nonsquare_at_infinity
 
@@ -42,20 +44,33 @@ class LocalWitness:
 
 def _nonsplit_disc(D, disc):
     """True iff F(sqrt(disc)) is non-split at infinity, ram1 and ram2: the
-    rule of `splits_quaternion` plus infinity.  It is the witness rule of
-    `witness_ok`, which `witness_search` decides from the residue tables
-    and applies itself where they cannot, and the mu-witness rule."""
+    rule of `splits_quaternion` plus infinity, in exact arithmetic.  It is
+    the mu-witness rule, and the witness rule that `witness_ok` and
+    `witness_search` read from the residue tables instead."""
     return nonsquare_at_infinity(disc) and splits_quaternion(D, disc)
 
 
 def witness_ok(D, w):
     """Re-check every witness invariant; no search involved.  c must be a
-    reduced unit, 0 < c < q, as `witness_search` writes it."""
+    reduced unit, 0 < c < q, as `witness_search` writes it.
+
+    The rule is `_nonsplit_disc` for disc = a^2 - 4c*l: infinity by
+    `nonsquare_at_infinity`, and each ramified prime's symbol from its
+    table in `_tables(D)`, disc reduced packed and looked up in `squares`.
+    Only a zero symbol needs more, the valuation of disc at that prime:
+    an even one splits it, as in `splits_quaternion`."""
     if 2 * w.a.degree > w.l.degree:
         return False
     if not 0 < w.c < D.q:
         return False
-    return _nonsplit_disc(D, w.a * w.a - 4 * w.c * w.l)
+    disc = w.a * w.a - 4 * w.c * w.l
+    if not nonsquare_at_infinity(disc):
+        return False
+    for table in _tables(D):
+        x = table.reduce(disc.coeffs)
+        if x in table.squares or (not x and valuation(disc, table.r) % 2 == 0):
+            return False
+    return True
 
 
 def mu_witness_ok(D, r, mu):
@@ -253,12 +268,14 @@ def witness_search(D, l):
     - at P's prime it looks up (a^2 mod p) - 4c*l mod p in the squares;
     - at infinity, when 2 deg a < deg l, disc has the degree deg l and
       leading coefficient -4c*lc(l), so it is non-split for every such a
-      or for none, read from those two alone; only when 2 deg a = deg l is
-      the exact rule needed.  When it fails, only the top level
-      deg a = deg l / 2 is scanned;
-    - a zero symbol, a^2 = 4c*l mod either prime, takes the exact rule,
-      which reads the valuation, unless the symbol at P's prime is +1: it
-      then splits, and the exact rule rejects a without reading S's.
+      or for none, read from those two alone; only when 2 deg a = deg l
+      does `nonsquare_at_infinity` read disc.  When it fails, only the top
+      level deg a = deg l / 2 is scanned;
+    - a zero symbol, a^2 = 4c*l mod either prime, needs the valuation of
+      disc at that prime, odd for a witness; the symbols in hand are kept,
+      and a +1 at either prime rejects a before any of it.
+    So disc is formed only where a valuation or the top level's infinity
+    needs it.
     """
     q = D.q
     P, S = _tables(D)
@@ -282,21 +299,20 @@ def witness_search(D, l):
         inf_ok = l.degree % 2 or not ffield.is_square(-4 * c * l.leading_coeff, q)
         for i in range(0 if inf_ok else top_start, count):
             mask = masks[i]
-            if mask & bit:
-                d = add(a2p[i], tp)
-                if d in squares_p:
-                    continue
-                if d:
-                    # both symbols are -1
-                    a = _candidate(q, i)
-                    if i < top_start or nonsquare_at_infinity(a * a - 4 * c * l):
-                        return LocalWitness(l=l, a=a, c=c)
-                    continue
-            elif not mask & zero_bit or add(a2p[i], tp) in squares_p:
-                continue
+            if not mask & (bit | zero_bit):
+                continue  # S's symbol is +1
+            d = add(a2p[i], tp)
+            if d in squares_p:
+                continue  # P's symbol is +1
             a = _candidate(q, i)
-            if _nonsplit_disc(D, a * a - 4 * c * l):
-                return LocalWitness(l=l, a=a, c=c)
+            zero_p, zero_s = not d, not mask & bit
+            if zero_p or zero_s or i >= top_start:
+                disc = a * a - 4 * c * l
+                if ((i >= top_start and not nonsquare_at_infinity(disc))
+                        or (zero_p and valuation(disc, P.r) % 2 == 0)
+                        or (zero_s and valuation(disc, S.r) % 2 == 0)):
+                    continue
+            return LocalWitness(l=l, a=a, c=c)
     return None
 
 

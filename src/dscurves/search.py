@@ -49,7 +49,8 @@ def candidates(y, max_deg1, max_deg2):
 def passes_cheap_filters(D, y):
     """Hypotheses that hold for every n: the mu-obstruction, a mu-witness at
     both ramified primes, and some ramified prime outside P(y).  Symbols
-    come first; the excluded-prime test needs the traces of dset(y).
+    come first; the excluded-prime test then runs one Lucas ladder mod the
+    tested prime per orbit of dset(y).
 
     No pair passes with an even deg y.  deg(y * ram1 * ram2) is odd, so
     say deg r1 is odd and deg r2 even, {r1, r2} = {ram1, ram2}, and write

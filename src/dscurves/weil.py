@@ -3,14 +3,18 @@
 For a monic irreducible y, the admissible quadratics X^2 + a1*X + mu*y
 (deg a1 <= deg(y)/2, mu a unit, discriminant a non-square in the completion
 at infinity) are the minimal polynomials of the Frobenius classes pi the
-non-existence criterion quantifies over.  The key computation is the trace
+non-existence criterion quantifies over.  The key quantity is the trace
 V = Tr(pi^n), from which the norm N(pi^(2n) - y^n) in A is read (see
-`dset`); a ramified prime is "excluded" when it divides none of the nonzero
-norms, which V mod p decides with no norm built (see `norm_statuses`).
+`dset`).  A ramified prime p is "excluded" when it divides none of the
+nonzero norms, which V mod p decides; `norm_statuses` reduces mod p first
+and runs the Lucas ladder for V in A/p, so it builds no trace or norm.
+Nor does `dset`: an orbit's exact trace and norm, of degree up to
+n * deg y / 2 and 2n * deg y, are built on first read, for `pset` and
+`pcheck --json`.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from math import gcd, lcm
 
 from . import ffield
@@ -108,32 +112,59 @@ def enumerate_weil(y):
     return tuple(out)
 
 
+class _Orbit:
+    """One orbit {(c*a1, c^2*mu) : c in F_q^x} of dset(y): its first
+    quadratic, and the trace and norm its entries share (see `dset`), each
+    computed on its first read.  `powers()` gives the steps of
+    `_ladder_powers` and y^n, computed once for every orbit of dset(y)."""
+
+    def __init__(self, source, powers):
+        self.source, self.powers = source, powers
+
+    @cached_property
+    def trace(self):
+        steps, _ = self.powers()
+        if not self.source.a1:
+            return 2 * steps[-1][2]  # V = 2*y^(n/2); the last step has k = n/2
+        return _lucas_trace(self.source, steps)
+
+    @cached_property
+    def value(self):
+        _, y_n = self.powers()
+        return y_n * (4 * y_n - self.trace * self.trace)
+
+
 @dataclass(frozen=True)
 class NormEntry:
-    """The trace V = Tr(pi^n) for one admissible quadratic, and the y^n
-    that every entry of dset(y) shares.  The norm value = N(pi^(2n) - y^n)
-    = y^n * (4*y^n - V^2) is derived on first read; it is zero iff a1 = 0
-    (proofs in `dset`)."""
+    """One admissible quadratic and its orbit.  The trace V = Tr(pi^n) and
+    the norm value = N(pi^(2n) - y^n) = y^n * (4*y^n - V^2) are computed on
+    first read, once per orbit; the norm is zero iff a1 = 0 (proofs in
+    `dset`)."""
 
     source: WeilPoly
-    trace: Poly
-    y_n: Poly
+    orbit: _Orbit
 
     @property
     def is_zero(self):
         return not self.source.a1
 
-    @cached_property
+    @property
+    def trace(self):
+        return self.orbit.trace
+
+    @property
     def value(self):
-        return self.y_n * (4 * self.y_n - self.trace * self.trace)
+        return self.orbit.value
 
 
 # largest total norm degree of dset(y), entries times the degree of each: it
-# bounds dset's traces, of half that degree, and the norms pcheck and pset
-# read.  Cold dset on CPython 3.11, one core of a 2-vCPU machine: q = 7, y = t
-# (42 * 4608 = 193536) 0.006 s, q = 5, y = t^2+2 (230400) 0.010 s, q = 3,
-# y = t^6+t+2 (124416) 0.016-0.020 s.  Refused: q = 7, y = t^2+1 (2.7e6,
-# 0.06-0.09 s), q = 11, y = t (3.2e6, 0.08-0.13 s), deg y = 16 at q = 3 (8.1e7)
+# bounds the traces, of half that degree, and the norms that pset, pcheck
+# --json and the tour build on first read, one per orbit; dset and
+# norm_statuses build none.  Every trace and norm of dset(y) read cold, on
+# CPython 3.11, one core of a 2-vCPU machine: q = 7, y = t (42 * 4608 =
+# 193536) 0.008 s, q = 5, y = t^2+2 (230400) 0.014 s, q = 3, y = t^6+t+2
+# (124416) 0.017 s.  Refused: q = 7, y = t^2+1 (2.7e6, 0.19 s), q = 11,
+# y = t (3.2e6, 0.15 s), deg y = 16 at q = 3 (8.1e7)
 _MAX_NORM_TOTAL = 250000
 
 
@@ -149,32 +180,62 @@ def check_norm_degree(y):
                            "deg y = %d" % (_MAX_NORM_TOTAL, q, y.degree))
 
 
-def _lucas_trace(w, steps):
+def _reducer(modulus):
+    """f -> f mod modulus, or the identity when modulus is None."""
+    return (lambda f: f) if modulus is None else (lambda f: f % modulus)
+
+
+def _ladder_powers(y, n, modulus=None):
+    """(bit, k, y^k, y^(k+1)) for each bit of n, high bit first, k the
+    value of the bits above it, and y^(k+1) None after the last 1 bit,
+    where the ladder only doubles.  With a modulus, every power is reduced
+    mod it, so no product is longer than the modulus allows."""
+    reduce = _reducer(modulus)
+    bits = bin(n)[2:]
+    last_one = bits.rindex("1")
+    y, yk, steps = reduce(y), Poly.one(y.q), []
+    for i, bit in enumerate(map(int, bits)):
+        yk1 = reduce(yk * y) if i <= last_one else None
+        steps.append((bit, n >> (len(bits) - i), yk, yk1))
+        if i + 1 < len(bits):  # the next k is 2k + bit
+            yk = reduce(yk * (yk1 if bit else yk))
+    return steps
+
+
+def _lucas_trace(w, steps, modulus=None):
     """V_n = pi^n + pibar^n for the roots of w = X^2 + a1*X + mu*y, by the
     Lucas ladder on P = -a1 and Q = mu*y: from (V_0, V_1) = (2, P), each
     bit of n maps (V_k, V_(k+1)) to (V_(2k), V_(2k+1)) or (V_(2k+1),
     V_(2k+2)) by V_(2k) = V_k^2 - 2*Q^k and V_(2k+1) = V_k*V_(k+1) - P*Q^k,
-    the last bit only to the first.  `steps` holds (bit, k, y^k, y^(k+1))."""
-    q, mu, p = w.q, w.mu, -w.a1
+    and each bit after the last 1 bit V_k to V_(2k) alone.  `steps` are
+    those of `_ladder_powers`.
+
+    Reduction A -> A/m is a ring map, so with a modulus m and the steps of
+    `_ladder_powers` mod m, the same ladder on P mod m, each value reduced
+    mod m, gives V_n mod m."""
+    reduce = _reducer(modulus)
+    q, mu, p = w.q, w.mu, reduce(-w.a1)
     v, u = Poly.constant(q, 2), p  # V_k, V_(k+1)
-    for bit, k, yk, yk1 in steps[:-1]:
-        qk = pow(mu, k, q) * yk
-        if bit:
-            v, u = v * u - p * qk, u * u - 2 * pow(mu, k + 1, q) * yk1
+    for bit, k, yk, yk1 in steps:
+        c = pow(mu, k, q)  # Q^k = c*y^k
+        if yk1 is None:
+            v = reduce(v * v - 2 * c * yk)
+        elif bit:
+            v, u = reduce(v * u - c * p * yk), reduce(u * u - 2 * c * mu * yk1)
         else:
-            v, u = v * v - 2 * qk, v * u - p * qk
-    bit, k, yk, _ = steps[-1]
-    qk = pow(mu, k, q) * yk
-    return v * u - p * qk if bit else v * v - 2 * qk
+            v, u = reduce(v * v - 2 * c * yk), reduce(v * u - c * p * yk)
+    return v
 
 
 @lru_cache(maxsize=None)
 def dset(y):
     """One NormEntry per admissible quadratic, in `enumerate_weil` order;
-    all-zero iff the excluded-prime set is empty.
+    all-zero iff the excluded-prime set is empty.  It builds no trace and
+    no power of y: the entries of an orbit share one `_Orbit`, whose trace
+    is computed on its first read, from powers of y shared by every orbit.
 
-    One trace is computed per orbit {(c*a1, c^2*mu) : c in F_q^x}; every
-    other entry of the orbit reuses it.  The norms of an orbit are equal:
+    The orbits are {(c*a1, c^2*mu) : c in F_q^x}, and the norms of an orbit
+    are equal:
     - if pi is a root of X^2 + a1*X + mu*y, then c*pi is a root of
       X^2 + c*a1*X + c^2*mu*y;
     - the A-algebra isomorphism pi' -> c*pi sends pi'^(2n) - y^n to
@@ -184,10 +245,10 @@ def dset(y):
     The discriminant scales by the square c^2, so the orbit stays inside
     `enumerate_weil`.
 
-    Each entry keeps V = Tr(pi^n) = pi^n + pibar^n, pibar the other
-    root, which `_lucas_trace` computes with two products per bit of n
-    from the y^k along the bits of n, computed once per call, and the last
-    of them, y^n; the norm is derived from the two on read:
+    The orbit's trace is V = Tr(pi^n) = pi^n + pibar^n, pibar the other
+    root, which `_lucas_trace` computes with at most two products per bit
+    of n from the y^k along the bits of n; the norm is derived from V and
+    y^n:
     - (q - 1) | n, so (pi*pibar)^n = (mu*y)^n = y^n;
     - hence Tr(pi^(2n)) = V^2 - 2*y^n, and
       N(pi^(2n) - y^n) = (pi*pibar)^(2n) - y^n*Tr(pi^(2n)) + y^(2n)
@@ -205,21 +266,22 @@ def dset(y):
       pi^2 = -a1*pi - mu*y with pi not in F forces a1 = 0.
     """
     check_norm_degree(y)
-    q = y.q
-    n = exponent_n(q, 2)
-    # (bit, k, y^k, y^(k+1)) per bit of n, and yk = y^n at the end
-    yk, k, steps = Poly.one(q), 0, []
-    for bit in map(int, bin(n)[2:]):
-        steps.append((bit, k, yk, yk * y))
-        yk, k = yk * steps[-1][2 + bit], 2 * k + bit
-    # n is even, so the last step starts from k = n/2
-    traces, entries, zero_trace = {}, [], 2 * steps[-1][2]
+    q, n = y.q, exponent_n(y.q, 2)
+
+    @cache
+    def powers():
+        # n is even, so the last step has k = n/2 and y^n = (y^(n/2))^2
+        steps = _ladder_powers(y, n)
+        return steps, steps[-1][2] * steps[-1][2]
+
+    orbits, entries = {}, []
     for w in enumerate_weil(y):
-        if (w.a1, w.mu) not in traces:
-            trace = _lucas_trace(w, steps) if w.a1 else zero_trace
+        orbit = orbits.get((w.a1, w.mu))
+        if orbit is None:
+            orbit = _Orbit(w, powers)
             for c in range(1, q):
-                traces[c * w.a1, c * c * w.mu % q] = trace
-        entries.append(NormEntry(source=w, trace=traces[w.a1, w.mu], y_n=yk))
+                orbits[c * w.a1, c * c * w.mu % q] = orbit
+        entries.append(NormEntry(source=w, orbit=orbit))
     return tuple(entries)
 
 
@@ -235,10 +297,13 @@ def norm_statuses(p, y):
     "zero norm", "divides" when p divides the nonzero norm, or "coprime".
     p != y are monic irreducibles, so y^n is a unit mod p, y^(n mod
     (q^deg p - 1)) as (A/p)^x has that order, and p divides y^n * (4*y^n -
-    V^2) iff V^2 = 4*y^n mod p: no norm is reduced, only each distinct V of
-    a nonzero norm, and the entries of an orbit (see `dset`) share a status.
-    p's degree bound comes first, then `dset`'s checks of y, so a y that
-    `dset` refuses costs no irreducibility test of p."""
+    V^2) iff V^2 = 4*y^n mod p.  Both sides are read in A/p, where no
+    product is longer than 2 deg p - 1 coefficients: the y^k along the bits
+    of n mod p once per call, then V mod p by one ladder mod p per orbit
+    (see `_lucas_trace`), whose entries share a status.  No trace or norm
+    of dset(y) is built.  p's degree bound comes first, then `dset`'s
+    checks of y, so a y that `dset` refuses costs no irreducibility test of
+    p."""
     if p.degree > _MAX_PRIME_DEGREE:
         raise InvalidInput("p has degree %d, above %d"
                            % (p.degree, _MAX_PRIME_DEGREE))
@@ -246,13 +311,14 @@ def norm_statuses(p, y):
     require_monic_irreducible(p, "p")
     if p == y:
         raise InvalidInput("p must differ from y")
-    statuses, q = {}, y.q
-    yn4 = 4 * powmod(y, exponent_n(q, 2) % (q ** p.degree - 1), p)
+    q, n = y.q, exponent_n(y.q, 2)
+    steps = _ladder_powers(y, n, p)
+    yn4, statuses = 4 * powmod(y, n % (q ** p.degree - 1), p), {}
     for entry in entries:
-        status = "zero norm" if entry.is_zero else statuses.get(entry.trace)
+        status = "zero norm" if entry.is_zero else statuses.get(entry.orbit)
         if status is None:
-            v = entry.trace % p
-            status = statuses[entry.trace] = (
+            v = _lucas_trace(entry.orbit.source, steps, p)
+            status = statuses[entry.orbit] = (
                 "divides" if ((v * v - yn4) % p).is_zero else "coprime")
         yield entry, status
 

@@ -6,7 +6,7 @@ import pytest
 from dscurves import fpoly, localpoints
 from dscurves.errors import InvalidInput
 from dscurves.fpoly import (Poly, monic_irreducibles, parse_poly,
-                            polys_of_degree_at_most, residue_symbol)
+                            polys_of_degree_at_most, residue_symbol, valuation)
 from dscurves.localpoints import (LocalWitness, fast_m_bound, lambda_cutoff,
                                   lambda_set, local_all,
                                   witness_cutoff, witness_ok, witness_search)
@@ -48,6 +48,41 @@ def test_witness_ok_checks_all_conditions():
     assert not witness_ok(D, bad)
     # c must be a unit
     assert not witness_ok(D, LocalWitness(l=l, a=w.a, c=0))
+
+
+@pytest.mark.parametrize("q, ptxt, stxt", [
+    (3, "t^3+t^2+t+2", "t+1"), (3, "t^4+t^3+2t+1", "t^2+1"),
+    (5, "t^3+t^2+4t+1", "t+2"), (7, "t^3+2", "t+3")])
+def test_witness_ok_matches_the_exact_rule(q, ptxt, stxt):
+    # witness_ok reads both symbols from the residue tables and takes a
+    # valuation only where one is 0; it must agree with _nonsplit_disc on
+    # every place l of degree <= 4, a with 2 deg a <= deg l and 0 < c < q.
+    # a and -a give one discriminant, which the oracle reads once and
+    # witness_ok reads with a, from the tables the searches of D leave, and
+    # with -a, from tables built cold for each place.  Zero symbols with
+    # even and with odd valuations both occur
+    D = table_D(q, ptxt, stxt)
+    cases, parities = [], set()
+    for l in lambda_set(D, 4):
+        for a in polys_of_degree_at_most(q, l.degree // 2):
+            if a.leading_coeff > q // 2:
+                continue
+            for c in range(1, q):
+                disc = a * a - 4 * c * l
+                for r in (D.ram1, D.ram2):
+                    if len(parities) < 2 and (disc % r).is_zero:
+                        parities.add(valuation(disc, r) % 2)
+                cases.append((l, a, c, localpoints._nonsplit_disc(D, disc)))
+    assert parities == {0, 1}
+    local_searches(D)
+    for l, a, c, want in cases:
+        assert witness_ok(D, LocalWitness(l=l, a=a, c=c)) == want, (l, a, c)
+    cold = None
+    for l, a, c, want in cases:
+        if l != cold:
+            localpoints._residues.cache_clear()
+            cold = l
+        assert witness_ok(D, LocalWitness(l=l, a=-a, c=c)) == want, (l, a, c)
 
 
 def test_witness_search_is_deterministic_first_hit():

@@ -7,9 +7,10 @@ import sympy
 from dscurves import fpoly
 from dscurves.errors import InvalidInput
 from dscurves.fpoly import Poly, factor, monic_irreducibles, parse_poly
-from dscurves.weil import (check_norm_degree, dset, enumerate_weil, exponent_n,
-                           lq, nonsquare_at_infinity, norm_statuses,
-                           p_excluded, pset)
+from dscurves.weil import (_ladder_powers, _lucas_trace, check_norm_degree,
+                           dset, enumerate_weil, exponent_n, lq,
+                           nonsquare_at_infinity, norm_statuses, p_excluded,
+                           pset)
 from oracles import (ModulusMismatch, QuadExtElem, ext_mul, ext_pow,
                      frobenius_test_element, norm, pi_power_trace)
 
@@ -195,6 +196,20 @@ def test_dset_orbit_norms_match_per_entry_oracle():
             assert entry.trace == pi_power_trace(entry.source, n)
 
 
+@pytest.mark.parametrize("q, ytxt", [(3, "t"), (5, "t"), (7, "t"), (3, "t^2+1")])
+def test_lucas_trace_mod_p_is_the_trace_mod_p(q, ytxt):
+    # reduction mod p is a ring map, so the ladder in A/p gives V mod p: for
+    # every orbit, a1 = 0 too, and every monic irreducible p of degree <= 3,
+    # y itself included
+    y = parse_poly(ytxt, q)
+    orbits = dict.fromkeys(entry.orbit for entry in dset(y))
+    for p in (p for d in (1, 2, 3) for p in monic_irreducibles(q, d)):
+        steps = _ladder_powers(y, exponent_n(q, 2), p)
+        for orbit in orbits:
+            assert _lucas_trace(orbit.source, steps, p) == orbit.trace % p, (
+                p, orbit.source)
+
+
 def fold(f, m):
     """f mod t^m - t: t^e = t^(e-m+1) for e >= m.  Every monic irreducible
     of degree d divides t^(q^d) - t, so fold(f, q^d) % p = f % p."""
@@ -259,11 +274,12 @@ def test_dset_zero_norm_dichotomy():
         assert any(not e.is_zero for e in entries)
 
 
-def test_dset_builds_traces_not_norms(monkeypatch):
-    # a cold dset at q = 7, y = t multiplies nothing longer than y^n, of
-    # n * deg y + 1 = 2305 coefficients, while a norm y^n * (4*y^n - V^2)
-    # has up to 2n * deg y + 1 = 4609.  Poly.__mul__ looks _mul_coeffs up
-    # at each call
+def test_p_excluded_multiplies_only_mod_p(monkeypatch):
+    # a cold p_excluded at q = 7, y = t, p = t^3+2 runs its ladder in A/p,
+    # so it multiplies nothing longer than 2 deg p - 1 = 5 coefficients:
+    # dset builds no trace, and the first read of one builds it, and y^n,
+    # of n * deg y + 1 = 2305 coefficients.  Poly.__mul__ looks _mul_coeffs
+    # up at each call
     longest = [0]
     mul = fpoly._mul_coeffs
 
@@ -272,11 +288,17 @@ def test_dset_builds_traces_not_norms(monkeypatch):
         longest[0] = max(longest[0], len(out))
         return out
 
-    y = parse_poly("t", 7)
+    y, p = parse_poly("t", 7), parse_poly("t^3+2", 7)
+    n = exponent_n(7, 2)
     dset.cache_clear()
     monkeypatch.setattr(fpoly, "_mul_coeffs", recording_mul)
-    dset(y)
-    assert longest[0] == exponent_n(7, 2) * y.degree + 1 == 2305
+    assert p_excluded(p, y)
+    assert longest[0] == 2 * p.degree - 1
+    entry = next(e for e in dset(y) if not e.is_zero)
+    trace = entry.trace
+    assert longest[0] == n * y.degree + 1 == 2305
+    monkeypatch.undo()
+    assert trace == pi_power_trace(entry.source, n)
 
 
 def test_dset_nonzero_entries_are_not_units():
