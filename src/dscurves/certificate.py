@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import ffield
 from .errors import InvalidInput, ParseError, excerpt
 from .fpoly import format_poly, parse_poly
-from .localpoints import LocalReport, LocalWitness, lambda_cutoff, local_all
+from .localpoints import LocalWitness, lambda_cutoff, local_all
 from .splitting import QuadraticField, QuaternionData, nonexistence_criterion
 from .weil import check_norm_degree, exponent_n
 
@@ -169,37 +169,37 @@ def _json_poly(value, q, label, max_degree=None):
 _WITNESS_KEYS = {"l", "a", "c"}
 
 
-def _read_local(local, q, cutoff):
-    """The recorded mu and witnesses of a `local` section, as the LocalReport
-    that `local_all` checks instead of searching.  The fields it does not
-    read stay None: the comparison with the rebuilt section binds them.
-    A null section records no mu and no witness.  Valid witnesses have 2 *
-    deg a <= deg l <= cutoff, so a recorded degree above it is refused."""
+def _read_local(local, D):
+    """The recorded answers of a `local` section, for `local_all` to check
+    instead of searching: a dict from each ramified prime to its mu (None
+    when null) and from each witness's place to the witness.  A mu takes
+    the key of its prime over a witness recorded there; `lambda_set` never
+    yields a ramified prime, so such a witness is simply not read.  A null
+    section records no mu and no witness.  Valid witnesses have 2 * deg a
+    <= deg l <= lambda_cutoff(D), so a recorded degree above it is refused,
+    as in `unwitnessed`, which is read for its schema only: the comparison
+    with the rebuilt section binds it."""
     if local is None:
         local = {"ram1_mu": None, "ram2_mu": None, "witnesses": [],
                  "unwitnessed": []}
     _json(local, dict, "local")
-    witnesses = []
+    q, cutoff = D.q, lambda_cutoff(D)
+    answers = {}
     for item in _json(local["witnesses"], list, "local.witnesses"):
         if set(_json(item, dict, "witness")) != _WITNESS_KEYS:
             raise SchemaError("a witness needs exactly the keys a, c and l, got "
                               + excerpt(item))
         l, a = (_json_poly(item[k], q, "witness " + k, cutoff) for k in "la")
-        c = _json(item["c"], int, "witness c")
-        witnesses.append(LocalWitness(l=l, a=a, c=c))
-    unwitnessed = tuple(
+        answers[l] = LocalWitness(l=l, a=a, c=_json(item["c"], int, "witness c"))
+    for l in _json(local["unwitnessed"], list, "local.unwitnessed"):
         _json_poly(l, q, "unwitnessed place", cutoff)
-        for l in _json(local["unwitnessed"], list, "local.unwitnessed"))
-    mu1, mu2 = (None if local[key] is None else _json(local[key], int, key)
-                for key in ("ram1_mu", "ram2_mu"))
-    return LocalReport(infinity_ok=None, ram1_ok=None, ram1_mu=mu1,
-                       ram2_ok=None, ram2_mu=mu2, lambda_cutoff=None,
-                       witness_cutoff=None, fast_m=None,
-                       witnesses=tuple(witnesses), unwitnessed=unwitnessed)
+    for r, key in ((D.ram1, "ram1_mu"), (D.ram2, "ram2_mu")):
+        answers[r] = None if local[key] is None else _json(local[key], int, key)
+    return answers
 
 
 def _read_inputs(data):
-    """(D, y, n_poly, K, recorded local report), read strictly: every
+    """(D, y, n_poly, K, recorded local answers), read strictly: every
     polynomial a JSON string, every integer a JSON integer, and the inputs
     accepted by the types and the `_quadratic_field` that certify uses."""
     try:
@@ -208,7 +208,7 @@ def _read_inputs(data):
                                  for key in ("y", "ram1", "ram2", "n_poly"))
         D = QuaternionData(ram1=ram1, ram2=ram2)
         K = _quadratic_field(D, y, n_poly, _json(data["eps"], int, "eps"))
-        recorded = _read_local(data["local"], q, lambda_cutoff(D))
+        recorded = _read_local(data["local"], D)
     except KeyError as exc:
         raise SchemaError("missing field %s" % exc) from exc
     except (InvalidInput, ParseError) as exc:

@@ -9,8 +9,8 @@ bound m, when one exists, discharges every place of degree >= 2m + 1 so
 explicit searches stop at degree 2m.
 
 The search for m, the witness search and the witness check read one
-table per ramified prime, with its squares, its units and a^2 mod it for
-the candidates a, kept for the two primes of the current D.  The tables
+table per ramified prime, with its squares, its units, the candidates a
+and a^2 mod it for each, kept for the two primes of the current D.  The tables
 and each place's set-up work on residues packed into ints, squared and
 reduced on plain ints, with no `Poly` operation.  A witness's symbols at
 the two primes come from the tables, and `Poly` arithmetic is left to what
@@ -22,7 +22,7 @@ exists, stays exact (`_nonsplit_disc`).
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 from . import ffield
 from .errors import InvalidInput
@@ -89,18 +89,23 @@ def ramified_mu(D, r):
     return None
 
 
+def _answer(recorded, key, search, check):
+    """The mu of a ramified prime or the witness of a place, key: search(key)
+    when nothing is `recorded`, else the answer recorded under key if
+    check accepts it, and None if not."""
+    if recorded is None:
+        return search(key)
+    answer = recorded.get(key)
+    return answer if answer is not None and check(answer) else None
+
+
 def _local_ramified_prime(D, K, r, recorded):
     """(ok, mu-witness or None) above the ramified prime r: K splits D, so
     r is not split in K; it is inert, needing nothing, when it does not
     divide K's radical, and ramified otherwise."""
     if not (K.radical % r).is_zero:
         return True, None
-    if recorded is None:
-        mu = ramified_mu(D, r)
-    else:
-        mu = recorded.ram1_mu if r == D.ram1 else recorded.ram2_mu
-        if mu is not None and not mu_witness_ok(D, r, mu):
-            mu = None
+    mu = _answer(recorded, r, partial(ramified_mu, D), partial(mu_witness_ok, D, r))
     return mu is not None, mu
 
 
@@ -127,31 +132,11 @@ def lambda_set(D, max_degree):
     return out
 
 
-def _candidate(q, i):
-    """The i-th polynomial of `coeff_tuples` order.  Level 0 is zero and
-    the constants, candidates 0 to q - 1, and level k >= 1 the
-    (q - 1) * q^k polynomials of degree k, candidates q^k to q^(k+1) - 1.
-    For i >= 1 in level k, i - q^k has the digits c_0, ..., c_(k-1) in
-    base q, c_0 most significant, then c_k - 1 as its last digit, in base
-    q - 1."""
-    if i == 0:
-        return Poly._raw(q, ())
-    k = 0
-    while q ** (k + 1) <= i:
-        k += 1
-    j, lead = divmod(i - q ** k, q - 1)
-    cs = [lead + 1]
-    for _ in range(k):
-        j, c = divmod(j, q)
-        cs.append(c)
-    return Poly._raw(q, tuple(reversed(cs)))
-
-
 class _Residues:
     """What the symbols at one ramified prime r read, packed and built on
     demand from coefficient tuples in `coeff_tuples` order, with no `Poly`
-    operation per entry: r's nonzero squares, its units, and a^2 mod r for
-    the candidates a.
+    operation per entry: r's nonzero squares, its units, the candidates a
+    and a^2 mod r for each.
 
     `_tables(D)` names P, the table of the prime with more units, and S,
     the other's.  By CRT the symbols of a^2 + x at both primes depend on x
@@ -169,8 +154,9 @@ class _Residues:
     k >= deg r, the packed c*t^k mod r of row k, a row grown from one
     `Poly` remainder the first time degree k is met.  `square` squares a
     coefficient tuple on ints, by `fpoly._mul_coeffs`, and reduces it.
-    Every entry is built from `coeff_tuples`, so the tables and
-    `polys_of_degree_at_most` share one order.  u and -u have the same
+    Every entry is built from `coeff_tuples`, and `extend` keeps the
+    candidates' tuples, so the tables, the witnesses of `witness_search`
+    and `polys_of_degree_at_most` share one order.  u and -u have the same
     square, so only the units with leading coefficient at most (q - 1)/2
     are squared.
     """
@@ -185,9 +171,9 @@ class _Residues:
         self.units = [self.reduce(u) for u in coeff_tuples(q, d - 1) if u]
         self.squares = frozenset(self.square(u) for u in coeff_tuples(q, d - 1)
                                  if u and u[-1] <= q // 2)
-        self.a2, self.masks = [], []
+        self.candidates, self.a2, self.masks = [], [], []
         self._masks = {}  # a^2 mod r, packed -> its mask, shared
-        self._candidates = coeff_tuples(q)
+        self._order = coeff_tuples(q)
 
     def add(self, x, y):
         """The packed sum of two packed residues mod r."""
@@ -219,9 +205,11 @@ class _Residues:
         return {u: j for j, u in enumerate(self.units)}
 
     def extend(self, count):
-        """a^2 mod r for the candidates below `count`."""
-        if count > len(self.a2):
-            more = itertools.islice(self._candidates, count - len(self.a2))
+        """The candidates below `count`, as coefficient tuples, and a^2 mod
+        r for each."""
+        if count > len(self.candidates):
+            more = list(itertools.islice(self._order, count - len(self.candidates)))
+            self.candidates += more
             self.a2 += map(self.square, more)
 
     def extend_masks(self, count):
@@ -304,7 +292,7 @@ def witness_search(D, l):
             d = add(a2p[i], tp)
             if d in squares_p:
                 continue  # P's symbol is +1
-            a = _candidate(q, i)
+            a = Poly._raw(q, P.candidates[i])
             zero_p, zero_s = not d, not mask & bit
             if zero_p or zero_s or i >= top_start:
                 disc = a * a - 4 * c * l
@@ -416,10 +404,11 @@ def local_all(D, K, recorded=None):
     cutoff); everything below gets an explicit witness or lands in
     `unwitnessed`.
 
-    Given a `recorded` LocalReport (read from a certificate), nothing is
-    searched: each ramified prime and each place keeps its recorded mu or
-    witness when the rule accepts it, so the report states what the
-    recorded witnesses establish.  Only its mu and witnesses are read.
+    Given `recorded`, a dict from a ramified prime to its recorded mu and
+    from a place to its recorded witness (read from a certificate), nothing
+    is searched: each keeps its recorded answer when the rule accepts it
+    (`_answer`), so the report states what the recorded witnesses
+    establish.
     """
     if not splits_quaternion(D, K.radicand):
         raise InvalidInput("K does not split the quaternion algebra")
@@ -428,16 +417,10 @@ def local_all(D, K, recorded=None):
     ram2_ok, ram2_mu = _local_ramified_prime(D, K, D.ram2, recorded)
     m = fast_m_bound(D)
     wit_cutoff = witness_cutoff(D, m)
-    if recorded is not None:
-        by_place = {w.l: w for w in recorded.witnesses}
+    search, check = partial(witness_search, D), partial(witness_ok, D)
     witnesses, unwitnessed = [], []
     for l in lambda_set(D, max_degree=wit_cutoff):
-        if recorded is None:
-            w = witness_search(D, l)
-        else:
-            w = by_place.get(l)
-            if w is not None and not witness_ok(D, w):
-                w = None
+        w = _answer(recorded, l, search, check)
         if w is None:
             unwitnessed.append(l)
         else:

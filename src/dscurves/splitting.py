@@ -62,11 +62,13 @@ class QuadraticField:
 
 # largest q^(deg ram1 + deg ram2) accepted: about the number of residue
 # pairs fast_m_bound covers, and of the squares it tabulates.  Measured
-# fast_m_bound on CPython 3.11, one core of a 2-vCPU machine, at 4-12e-6 s
-# per pair, most of it the table of squares of the larger prime: 3^10
-# (t^9+t^7+2t^6+1, t+1) takes 0.47 s, 5^7 (t^6+2t^5+3, t+2) 0.34 s.
-# Refused: 7^6 (t^5+t^4+4, t+3, 0.37 s) and 3^11 (t^10+t^8+t^7+2t^6+2, t+1,
-# 1.5 s).  The limit stays, since raising it would admit new inputs
+# fast_m_bound cold, its tables built afresh, on CPython 3.11, one core of
+# a 2-vCPU machine, medians of three runs taken twice, at 0.8-2.5e-6 s per
+# pair, two thirds of it the units and squares of the larger prime: 3^10
+# (t^9+t^7+2t^6+1, t+1) takes 0.12-0.13 s, 5^7 (t^6+2t^5+3, t+2) 0.09-0.10
+# s.  Refused: 7^6 (t^5+t^4+4, t+3, 0.09-0.10 s) and 3^11
+# (t^10+t^8+t^7+2t^6+2, t+1, 0.37-0.44 s).  The limit stays, since raising
+# it would admit new inputs
 _MAX_RESIDUE_PAIRS = 10 ** 5
 
 

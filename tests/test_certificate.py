@@ -188,6 +188,16 @@ def mutations(data):
     d["local"]["lambda_cutoff"] += 2
     yield "lambda_cutoff", d
 
+    # a witness at a ramified prime: that prime's key holds its mu, and
+    # lambda_set never yields it, so the witness is not read
+    d = copy.deepcopy(data)
+    d["local"]["witnesses"][0]["l"] = data["ram1"]
+    yield "witness moved to l = ram1", d
+
+    d = copy.deepcopy(data)
+    d["local"]["witnesses"].append(dict(d["local"]["witnesses"][0], l=data["ram2"]))
+    yield "witness at l = ram2", d
+
     # ram1_mu is 2 for the certificate below: 0 and 3 are not units mod 3,
     # 1 fails the mu-witness rule, 5 is 2 unreduced, and a ramified prime
     # needs some mu
@@ -212,6 +222,9 @@ def test_mutation_battery():
         code, failures = verify_certificate(mutated)
         assert code == 1, "mutation %r was not detected" % name
         assert failures
+        if "l = ram" in name:  # the mu keeps its prime's key
+            assert not [f for f in failures
+                        if f.startswith(("local.ram1_mu", "local.ram2_mu"))]
 
 
 def test_sieve_refused_in_the_rebuild_is_a_schema_error(monkeypatch):

@@ -264,11 +264,13 @@ def test_local_all_rejects_nonsplitting_field():
 
 
 def test_candidates_follow_the_enumeration_order():
-    # the tables square the candidates from coeff_tuples, and witness_search
-    # decodes a candidate from its index in them
+    # the tables keep the candidates they square, in coeff_tuples order, and
+    # witness_search reads a candidate by its index in them
     for q in (3, 5, 7):
         order = list(fpoly.coeff_tuples(q, 3))
-        assert [localpoints._candidate(q, i).coeffs for i in range(q ** 4)] == order
+        table = localpoints._Residues(monic_irreducibles(q, 2)[0])
+        table.extend(q ** 4)
+        assert table.candidates == order
         assert [a.coeffs for a in polys_of_degree_at_most(q, 3)] == order
         assert list(itertools.islice(fpoly.coeff_tuples(q), q ** 4)) == order
 

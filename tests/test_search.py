@@ -3,7 +3,7 @@ import json
 
 from dscurves import cli, search
 from dscurves.certificate import canonical_json, verify_certificate
-from dscurves.fpoly import monic_irreducibles, parse_poly
+from dscurves.fpoly import Poly, format_poly, monic_irreducibles, parse_poly
 from dscurves.localpoints import local_all, mu_witness_ok, ramified_mu
 from dscurves.splitting import QuadraticField, QuaternionData
 
@@ -83,3 +83,47 @@ def test_search_q5_output_is_pinned(capsys):
                      "--max-deg2", "1", "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_Q5_SHA256
+
+
+def _affine(f, alpha, beta):
+    """f(alpha*t + beta), made monic, by Horner's rule on Poly."""
+    q = f.q
+    x = Poly(q, (beta, alpha))
+    out = Poly.zero(q)
+    for c in reversed(f.coeffs):
+        out = out * x + Poly.constant(q, c)
+    return out.monic()
+
+
+def _verdicts(y, max_deg1, max_deg2):
+    """{(ram1 text, ram2 text): verdict} of every pair search certifies."""
+    _, results = search.search(y, max_deg1, max_deg2)
+    return {(p, s): data["verdict"] for p, s, data in results}
+
+
+def test_search_verdicts_are_affine_invariant():
+    # t -> alpha*t + beta fixes infinity and degrees, and sends a monic prime
+    # to a unit times a monic prime; the units mu and c range over all of
+    # F_q^x and absorb it, so the certified pairs of y map with their
+    # verdicts onto those of sigma(y), and sigma(y) certifies no other pair
+    for q, y_text, window, maps in (
+            (3, "t^3+2t+1", (4, 2),
+             [(a, b) for a in (1, 2) for b in range(3) if (a, b) != (1, 0)]),
+            (5, "t", (3, 1), [(2, 0), (1, 1), (3, 4)])):
+        y = parse_poly(y_text, q)
+        base = _verdicts(y, *window)
+        assert set(base.values()) == {"VALID", "INVALID"}
+        for alpha, beta in maps:
+            mapped = {tuple(format_poly(_affine(parse_poly(r, q), alpha, beta))
+                            for r in pair): verdict
+                      for pair, verdict in base.items()}
+            assert _verdicts(_affine(y, alpha, beta), *window) == mapped, (q, alpha, beta)
+
+
+def test_search_verdicts_survive_the_swap():
+    # D depends only on {ram1, ram2}: in a square window each certified
+    # pair's swap is certified with the same verdict
+    verdicts = _verdicts(parse_poly("t", 3), 4, 4)
+    assert set(verdicts.values()) == {"VALID", "INVALID"}
+    for (p, s), verdict in verdicts.items():
+        assert verdicts.get((s, p)) == verdict, (p, s)
