@@ -144,6 +144,52 @@ def hasse_certificate(D, y, n_poly, eps):
       deg n_poly and, eps being a non-square, is inert for odd deg n_poly:
       it never splits, and `infinity_ok` holds;
     - m, the witnesses, `excluded` and `mu_obstruction` depend on (D, y).
+
+    The verdict is also unchanged under two maps of (ram1, ram2, y):
+    sigma: t -> alpha*t + beta (alpha a unit), applied to each and made
+    monic, and the swap of ram1 and ram2.  sigma is an automorphism of A =
+    F_q[t] and of F, fixing infinity and every degree; it maps a monic
+    irreducible f to lc(sigma(f)) * f', lc(sigma(f)) = alpha^deg f and f'
+    a monic irreducible of the same degree, so f -> f' permutes the monic
+    irreducibles of each degree, taking ram1 and ram2 to ram1' and ram2'.
+    Degrees are kept, so every degree bound reads the same on both sides.
+    - Infinity: sigma(f) has f's degree and leading coefficient
+      alpha^deg f * lc(f), which for even deg f is lc(f) times a square,
+      so `nonsquare_at_infinity(f)` = `nonsquare_at_infinity(sigma(f))`.
+    - Residue symbols: sigma induces A/r = A/sigma(r) = A/r', an isomorphism
+      of fields, so x is zero, a nonzero square or a non-square mod r as
+      sigma(x) is mod r', and the valuations agree: `splits_quaternion(D,
+      x)` = `splits_quaternion(D', sigma(x))`.  Both it and infinity depend
+      on a constant factor of x only through its square class.
+    - dset: sigma(y) = c*y', c = alpha^deg y.  sigma maps X^2 + a1*X +
+      mu*y to X^2 + sigma(a1)*X + (c*mu)*y', with a1's degree and the
+      discriminant's square class at infinity, so it maps `enumerate_weil(
+      y)` onto `enumerate_weil(y')`.  A root pi goes to a root sigma(pi),
+      and y'^n = c^(-n)*sigma(y)^n = sigma(y)^n since (q - 1) | n, so
+      N(sigma(pi)^(2n) - y'^n) = sigma(N(pi^(2n) - y^n)): the nonzero norms
+      of y' are the images of those of y, p divides one iff p' does, and
+      `ram1_excluded`, `ram2_excluded` and `excluded_prime` agree.
+    - mu_obstruction and the mu-witnesses: sigma(mu*y) = (c*mu)*y' and
+      sigma(mu*r) = (alpha^deg r*mu)*r'; as mu runs over both square
+      classes so does the scaled constant, so `mu_y_obstruction` agrees,
+      and a mu-witness exists at r iff one exists at r'.
+    - m: sigma maps the a of degree <= m bijectively and keeps every
+      symbol mod ram1 and ram2, so `fast_m_bound(D)` = `fast_m_bound(D')`
+      and the witness cutoff agrees.
+    - Witnesses: sigma(a^2 - 4c*l) = sigma(a)^2 - 4c*lc(sigma(l))*l', so
+      (a, c) witnesses l for D iff (sigma(a), c*lc(sigma(l))) witnesses l'
+      for D'.  c ranges over all of F_q^x and so does c*lc(sigma(l)): the
+      constant is absorbed, and `unwitnessed` maps onto `unwitnessed`.
+    - The swap: every predicate above reads ram1 and ram2 alike, the
+      places exclude both, and the cutoffs and m read their degree sum
+      or both primes; the swap exchanges the ram1 and ram2 fields and
+      reasons, and `excluded` and the verdict, which take both, stay.
+    The verdict is read from these alone, and the cheap filters of
+    `search` are the same predicates, so the certified pairs and their
+    verdicts map too.  The first witness and the mu found may
+    differ, since sigma and the swap do not keep the search order: the
+    `--json` bytes are not equivariant.
+    `tests/test_search.py` checks both maps on small windows.
     """
     K = _quadratic_field(D, y, n_poly, eps)
     return HasseCertificate(data=_certificate_data(D, y, n_poly, K))

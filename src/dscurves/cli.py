@@ -6,6 +6,11 @@ no input precondition lives here: the library checks what it is given, so
 the Python API refuses the inputs the CLI refuses.  The search pipeline is
 `dscurves.search.search`.
 
+The options that several subcommands take are declared once, in
+`_OPTIONS`, and each subcommand names the ones it takes.  `main` parses
+every polynomial option present, once, in the fixed order of
+`_POLYNOMIALS`, so each command receives `Poly`s.
+
 Exit codes: 0 verified/valid, 1 checked-and-false, 2 invalid input,
 3 format/schema error.
 """
@@ -22,7 +27,7 @@ from .fpoly import format_poly, parse_poly
 from .localpoints import local_all
 from .search import MAX_WORKERS, search
 from .splitting import QuadraticField, QuaternionData, nonexistence_criterion
-from .weil import enumerate_weil, norm_statuses, pset
+from .weil import avoids_pset, enumerate_weil, norm_statuses, pset
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -50,6 +55,24 @@ def _add_common(sub):
     sub.add_argument("--json", action="store_true", help="emit machine-readable JSON")
 
 
+# the options that several subcommands take: flag -> argparse keywords,
+# an option without a default being required
+_OPTIONS = {"--ram1": {}, "--ram2": {}, "--y": {}, "--p": {},
+            "--radicand": {"help": "monic square-free radical of K"},
+            "--eps": {"type": int, "default": 1}}
+
+# the polynomial options, by dest, in the order `main` parses them
+_POLYNOMIALS = ("ram1", "ram2", "y", "p", "radicand", "n_poly")
+
+
+def _add_options(sub, *flags, **keywords):
+    """Add the `_OPTIONS` named by flags to sub, in order; keywords
+    override the table's."""
+    for flag in flags:
+        kw = dict(_OPTIONS[flag], **keywords)
+        sub.add_argument(flag, required="default" not in kw, **kw)
+
+
 def build_parser():
     parser = _ArgumentParser(
         prog="dscurves",
@@ -59,41 +82,31 @@ def build_parser():
 
     p = subs.add_parser("wset", help="list the admissible Weil quadratics for y")
     _add_common(p)
-    p.add_argument("--y", required=True)
+    _add_options(p, "--y")
 
     p = subs.add_parser("pcheck", help="test whether p avoids the excluded-prime set of y")
     _add_common(p)
-    p.add_argument("--y", required=True)
-    p.add_argument("--p", required=True)
+    _add_options(p, "--y", "--p")
 
     p = subs.add_parser("pset", help="compute the full excluded-prime set of y")
     _add_common(p)
-    p.add_argument("--y", required=True)
+    _add_options(p, "--y")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the factorization randomness")
 
     p = subs.add_parser("criterion", help="evaluate the global non-existence criterion")
     _add_common(p)
-    p.add_argument("--ram1", required=True)
-    p.add_argument("--ram2", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--radicand", required=True, help="monic square-free radical of K")
-    p.add_argument("--eps", type=int, default=1)
+    _add_options(p, "--ram1", "--ram2", "--y", "--radicand", "--eps")
 
     p = subs.add_parser("local", help="run the local-points battery for K")
     _add_common(p)
-    p.add_argument("--ram1", required=True)
-    p.add_argument("--ram2", required=True)
-    p.add_argument("--radicand", required=True)
-    p.add_argument("--eps", type=int, default=1)
+    _add_options(p, "--ram1", "--ram2", "--radicand", "--eps")
 
     p = subs.add_parser("certify", help="produce a Hasse-violation certificate")
     _add_common(p)
-    p.add_argument("--ram1", required=True)
-    p.add_argument("--ram2", required=True)
-    p.add_argument("--y", required=True)
+    _add_options(p, "--ram1", "--ram2", "--y")
     p.add_argument("--n-poly", default="1")
-    p.add_argument("--eps", type=int, default=1)
+    _add_options(p, "--eps")
     p.add_argument("--out", help="path for the certificate JSON (default: stdout)")
 
     p = subs.add_parser("verify", help="re-check a certificate file")
@@ -103,25 +116,16 @@ def build_parser():
     _add_common(p)
     p.add_argument("--max-deg1", type=int, required=True)
     p.add_argument("--max-deg2", type=int, required=True)
-    p.add_argument("--y", default="t")
+    _add_options(p, "--y", default="t")
     p.add_argument("--threads", type=int, default=1,
                    help="worker processes for certification, at most %d"
                    % MAX_WORKERS)
     return parser
 
 
-def _parse(text, q, what):
-    try:
-        return parse_poly(text, q)
-    except ParseError as exc:
-        raise InvalidInput("bad %s %s: %s" % (what, excerpt(text), exc)) from exc
-
-
 def cmd_wset(args):
-    q = args.field_order
-    y = _parse(args.y, q, "y")
     rows = []
-    for w in enumerate_weil(y):
+    for w in enumerate_weil(args.y):
         disc = w.discriminant
         reason = ("odd discriminant degree" if disc.degree % 2 == 1
                   else "non-square leading coefficient")
@@ -129,8 +133,8 @@ def cmd_wset(args):
                      "minimal_poly": str(w), "discriminant": format_poly(disc),
                      "classification": reason})
     if args.json:
-        write_canonical_json({"field_order": q, "y": format_poly(y), "weil": rows},
-                             sys.stdout)
+        write_canonical_json({"field_order": args.field_order,
+                              "y": format_poly(args.y), "weil": rows}, sys.stdout)
     else:
         for row in rows:
             print("%s  disc=%s (%s)" % (row["minimal_poly"], row["discriminant"],
@@ -140,17 +144,15 @@ def cmd_wset(args):
 
 
 def cmd_pcheck(args):
-    q = args.field_order
-    y = _parse(args.y, q, "y")
-    p = _parse(args.p, q, "p")
+    y, p = args.y, args.p
     statuses = list(norm_statuses(p, y))
-    excluded = all(status != "divides" for _, status in statuses)
+    excluded = avoids_pset(statuses)
     if args.json:
         # only the JSON form prints norm degrees, and builds the norms, one
         # per orbit
         rows = [{"weil": str(entry.source), "norm_degree": entry.value.degree,
                  "status": status} for entry, status in statuses]
-        write_canonical_json({"field_order": q, "y": format_poly(y),
+        write_canonical_json({"field_order": args.field_order, "y": format_poly(y),
                               "p": format_poly(p), "excluded": excluded,
                               "entries": rows}, sys.stdout)
     else:
@@ -162,11 +164,10 @@ def cmd_pcheck(args):
 
 
 def cmd_pset(args):
-    q = args.field_order
-    y = _parse(args.y, q, "y")
-    primes = pset(y, seed=args.seed)
+    primes = pset(args.y, seed=args.seed)
     if args.json:
-        write_canonical_json({"field_order": q, "y": format_poly(y),
+        write_canonical_json({"field_order": args.field_order,
+                              "y": format_poly(args.y),
                               "seed": args.seed,
                               "pset": [format_poly(p) for p in primes]},
                              sys.stdout)
@@ -177,22 +178,10 @@ def cmd_pset(args):
     return EXIT_OK
 
 
-def _quaternion_args(args, q):
-    return QuaternionData(ram1=_parse(args.ram1, q, "ram1"),
-                          ram2=_parse(args.ram2, q, "ram2"))
-
-
-def _field_args(args, q):
-    radical = _parse(args.radicand, q, "radicand")
-    return QuadraticField(eps=args.eps, radical=radical)
-
-
 def cmd_criterion(args):
-    q = args.field_order
-    D = _quaternion_args(args, q)
-    y = _parse(args.y, q, "y")
-    K = _field_args(args, q)
-    report = nonexistence_criterion(D, y, K)
+    D = QuaternionData(ram1=args.ram1, ram2=args.ram2)
+    K = QuadraticField(eps=args.eps, radical=args.radicand)
+    report = nonexistence_criterion(D, args.y, K)
     payload = dict(report.to_dict(), failures=list(report.failures))
     if args.json:
         write_canonical_json(payload, sys.stdout)
@@ -208,10 +197,8 @@ def cmd_criterion(args):
 
 
 def cmd_local(args):
-    q = args.field_order
-    D = _quaternion_args(args, q)
-    K = _field_args(args, q)
-    report = local_all(D, K)
+    D = QuaternionData(ram1=args.ram1, ram2=args.ram2)
+    report = local_all(D, QuadraticField(eps=args.eps, radical=args.radicand))
     if args.json:
         write_canonical_json(report.to_dict(), sys.stdout)
     else:
@@ -233,11 +220,8 @@ def cmd_local(args):
 
 
 def cmd_certify(args):
-    q = args.field_order
-    D = _quaternion_args(args, q)
-    y = _parse(args.y, q, "y")
-    n_poly = _parse(args.n_poly, q, "n-poly")
-    cert = hasse_certificate(D, y, n_poly, args.eps)
+    D = QuaternionData(ram1=args.ram1, ram2=args.ram2)
+    cert = hasse_certificate(D, args.y, args.n_poly, args.eps)
     if args.out:
         try:
             with open(args.out, "w", newline="\n") as fh:
@@ -273,9 +257,7 @@ def cmd_verify(args):
 
 
 def cmd_search(args):
-    q = args.field_order
-    y = _parse(args.y, q, "y")
-    n_candidates, results = search(y, args.max_deg1, args.max_deg2,
+    n_candidates, results = search(args.y, args.max_deg1, args.max_deg2,
                                    workers=args.threads)
     # certificates arrive one at a time; only the VALID ones that --json
     # prints are kept, and names otherwise
@@ -287,16 +269,17 @@ def cmd_search(args):
             rejected.append((a, b))
     if args.json:
         write_canonical_json({
-            "field_order": q, "y": format_poly(y),
+            "field_order": args.field_order, "y": format_poly(args.y),
             "max_deg1": args.max_deg1, "max_deg2": args.max_deg2,
             "triples": [{"ram1": a, "ram2": b, "certificate": d}
                         for a, b, d in valid],
         }, sys.stdout)
     else:
         for a, b, _ in valid:
-            print("(%d, %s, %s)  VALID" % (q, a, b))
+            print("(%d, %s, %s)  VALID" % (args.field_order, a, b))
         for a, b in rejected:
-            print("(%d, %s, %s)  rejected at certification" % (q, a, b))
+            print("(%d, %s, %s)  rejected at certification"
+                  % (args.field_order, a, b))
         print("found %d violating pair(s) out of %d candidate(s)"
               % (len(valid), n_candidates))
     return EXIT_OK
@@ -306,6 +289,16 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # each polynomial option present becomes a Poly over F_q, once
+        for dest in _POLYNOMIALS:
+            text = getattr(args, dest, None)
+            if text is None:
+                continue
+            try:
+                setattr(args, dest, parse_poly(text, args.field_order))
+            except ParseError as exc:
+                raise InvalidInput("bad %s %s: %s" % (
+                    dest.replace("_", "-"), excerpt(text), exc)) from exc
         return globals()["cmd_" + args.command](args)
     except InvalidInput as exc:
         print("invalid input: %s" % exc, file=sys.stderr)

@@ -10,7 +10,7 @@ local battery of x = mu*r and of the discriminants a^2 - 4c*l, adding
 infinity.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import ffield
 from .errors import InvalidInput
@@ -85,13 +85,15 @@ def check_pair_count(q, deg1, deg2):
 @dataclass(frozen=True)
 class QuaternionData:
     """Quaternion division algebra over F_q(t), split at infinity, ramified
-    exactly at the distinct Primes ram1 and ram2.  The pair bound, read
-    from degrees, comes before the irreducibility tests."""
+    exactly at the distinct Primes ram1 and ram2 over one F_q.  The pair
+    bound, read from degrees, comes before the irreducibility tests."""
 
     ram1: Poly
     ram2: Poly
 
     def __post_init__(self):
+        if self.ram1.q != self.ram2.q:
+            raise InvalidInput("mismatched field orders")
         check_pair_count(self.ram1.q, self.ram1.degree, self.ram2.degree)
         if self.ram1 == self.ram2:
             raise InvalidInput("ramified primes must be distinct")
@@ -122,6 +124,15 @@ def mu_y_obstruction(D, y):
                    for mu in ffield.square_class_reps(D.q))
 
 
+# the criterion's four hypotheses, in their stated order
+_HYPOTHESES = (
+    "K splits the quaternion algebra",
+    "y ramifies in K",
+    "some ramified prime lies outside the excluded-prime set of y",
+    "no F(sqrt(mu*y)) splits the quaternion algebra",
+)
+
+
 @dataclass(frozen=True)
 class CriterionReport:
     """Hypothesis-by-hypothesis verdict of the non-existence criterion."""
@@ -131,7 +142,6 @@ class CriterionReport:
     ram1_excluded: bool
     ram2_excluded: bool
     mu_obstruction: bool
-    failures: tuple = field(default=())
 
     @property
     def excluded_prime(self):
@@ -140,6 +150,13 @@ class CriterionReport:
         if self.ram2_excluded:
             return "ram2"
         return None
+
+    @property
+    def failures(self):
+        """The hypotheses that do not hold, in their stated order."""
+        holds = (self.field_splits, self.y_ramified,
+                 self.ram1_excluded or self.ram2_excluded, self.mu_obstruction)
+        return tuple(h for h, ok in zip(_HYPOTHESES, holds) if not ok)
 
     @property
     def ok(self):
@@ -159,21 +176,13 @@ class CriterionReport:
         }
 
 
-_HYPOTHESES = (
-    ("field_splits", "K splits the quaternion algebra"),
-    ("y_ramified", "y ramifies in K"),
-    ("excluded", "some ramified prime lies outside the excluded-prime set of y"),
-    ("mu_obstruction", "no F(sqrt(mu*y)) splits the quaternion algebra"),
-)
-
-
 def nonexistence_criterion(D, y, K):
     """Evaluate the four hypotheses forcing the curve to have no K-points.
 
-    Returns a CriterionReport; failures list the hypotheses that do not hold,
-    in their stated order.  The excluded-prime tests come before any
-    residue symbol: `dset(y)` refuses a y beyond its norm bound, then a y
-    that is not a monic irreducible.  K's radical is square-free, so a
+    Returns a CriterionReport, whose failures list the hypotheses that do
+    not hold, in their stated order.  The excluded-prime tests come before
+    any residue symbol: `dset(y)` refuses a y beyond its norm bound, then a
+    y that is not a monic irreducible.  K's radical is square-free, so a
     ramified prime divides the radicand at most once and the even case of
     `splits_quaternion` never arises here.
     """
@@ -183,16 +192,7 @@ def nonexistence_criterion(D, y, K):
         raise InvalidInput("y must differ from the ramified primes")
     r1_ex = p_excluded(D.ram1, y)
     r2_ex = p_excluded(D.ram2, y)
-    splits = splits_quaternion(D, K.radicand)
-    y_ram = (K.radical % y).is_zero
-    mu_ob = mu_y_obstruction(D, y)
-    flags = {
-        "field_splits": splits,
-        "y_ramified": y_ram,
-        "excluded": r1_ex or r2_ex,
-        "mu_obstruction": mu_ob,
-    }
-    failures = tuple(desc for key, desc in _HYPOTHESES if not flags[key])
-    return CriterionReport(field_splits=splits, y_ramified=y_ram,
+    return CriterionReport(field_splits=splits_quaternion(D, K.radicand),
+                           y_ramified=(K.radical % y).is_zero,
                            ram1_excluded=r1_ex, ram2_excluded=r2_ex,
-                           mu_obstruction=mu_ob, failures=failures)
+                           mu_obstruction=mu_y_obstruction(D, y))

@@ -323,6 +323,12 @@ def norm_statuses(p, y):
         yield entry, status
 
 
+def avoids_pset(statuses):
+    """True iff no status of `norm_statuses(p, y)` is "divides": p avoids
+    P(y).  On the lazy statuses it stops at the first "divides"."""
+    return all(status != "divides" for _, status in statuses)
+
+
 def p_excluded(p, y):
     """True iff p divides no nonzero norm entry for y, i.e. p avoids every
     prime divisor of the norm set.  Stops at the first entry p divides.
@@ -340,7 +346,7 @@ def p_excluded(p, y):
     So p divides every norm, and every y has a nonzero one (a1 = 1 with
     mu chosen so that 1 - 4*mu*y is a non-square at infinity).
     """
-    return all(status != "divides" for _, status in norm_statuses(p, y))
+    return avoids_pset(norm_statuses(p, y))
 
 
 def pset(y, seed=0):

@@ -45,6 +45,19 @@ def test_pcheck_exit_codes(capsys):
     code, _, _ = run(["pcheck", "--field-order", "3", "--y", "t",
                       "--p", "t+1"], capsys)
     assert code == 1
+    # every monic irreducible p != y of degree <= 3: exit 0 iff p_excluded
+    for q in (3, 5):
+        y = parse_poly("t", q)
+        codes = set()
+        for d in (1, 2, 3):
+            for p in fpoly.monic_irreducibles(q, d):
+                if p == y:
+                    continue
+                code, _, _ = run(["pcheck", "--field-order", str(q), "--y", "t",
+                                  "--p", format_poly(p)], capsys)
+                assert code == (0 if weil.p_excluded(p, y) else 1), (q, p)
+                codes.add(code)
+        assert codes == {0, 1}, q
 
 
 def test_pset_json(capsys):
@@ -146,8 +159,10 @@ def test_certify_writes_the_reference_bytes(capsys, tmp_path):
     assert run(argv + ["--out", str(path)], capsys)[0] == 0
     reference = (REFERENCE / "cert0.json").read_bytes()
     assert path.read_bytes() == reference
-    code, out, _ = run(argv, capsys)
-    assert code == 0 and out.encode() == reference
+    # certify writes canonical JSON with or without --json
+    for extra in ([], ["--json"]):
+        code, out, _ = run(argv + extra, capsys)
+        assert code == 0 and out.encode() == reference, extra
 
 
 def test_certify_out_to_a_path_it_cannot_write(capsys, tmp_path):
@@ -271,6 +286,11 @@ def test_invalid_inputs_exit_2(capsys):
     assert code == 2
     code, _, err = run(["wset", "--field-order", "3", "--y", "5t+("], capsys)
     assert code == 2
+    # every polynomial option is parsed before any is checked: a bad y is
+    # reported before the reducible ram1
+    code, _, err = run(["certify", "--field-order", "3", "--ram1", "t^2+2",
+                        "--ram2", "t+1", "--y", "5t+("], capsys)
+    assert code == 2 and err.startswith("invalid input: bad y '5t+(': ")
     # an empty text, an unterminated list and a bad list coefficient
     for y, reason in (("", "empty polynomial text"),
                       ("[1,2", "unterminated coefficient list"),

@@ -33,6 +33,9 @@ def test_quaternion_data_validation():
         QuaternionData(ram1=p, ram2=p)
     with pytest.raises(InvalidInput):
         QuaternionData(ram1=p, ram2=parse_poly("t^2+2t+1", 3))
+    # primes over different fields are refused before any other check
+    with pytest.raises(InvalidInput, match="mismatched field orders"):
+        QuaternionData(ram1=parse_poly("t^3+t^2+t+2", 3), ram2=parse_poly("t+2", 5))
     # a long reducible prime inside the pair bound is quoted as a short
     # excerpt
     text = "t^9+2t^8+2t^7+2t^6+2t^5+2t^4+2t^3+2t^2+2t"
